@@ -10,6 +10,11 @@ emits one raw quality score (no language-model head anywhere).  Training
 minimizes MSE against the 0..3 level labels and keeps the epoch checkpoint
 with the best validation accuracy.
 
+Scoring (QualityModel.score_record, hence score, eval and validation) runs
+infer_score, a forward-only path that computes the last block for the last
+position only; training runs forward_score on every position.  The two
+agree up to rounding (within 1e-12), not bitwise.
+
 Over-length policy: image tokens are never dropped.  Text is truncated from
 the right until the sequence fits max_seq_len; a record whose image tokens
 alone exceed max_seq_len is rejected with a DataError.
@@ -25,7 +30,8 @@ import numpy as np
 from .common import DataError, NumericError, child_rng
 from .encoder import EncoderConfig, adaptive_avg_pool_2d, patchify_embed, project, project_backward
 from .nn import (AdamConfig, Params, adam_init, adam_step, layer_norm, layer_norm_backward,
-                 save_tensors, load_tensors, transformer_block, transformer_block_backward)
+                 save_tensors, load_tensors, transformer_block, transformer_block_backward,
+                 transformer_block_infer)
 from .packing import Vocab, build_vocab, tokenize
 from .records import CaptionSample, InterleavedDoc, LabeledSample
 
@@ -107,7 +113,6 @@ def _subparams(params: Params, prefix: str) -> Params:
 class AssembledSequence:
     """Embedding matrix plus the provenance needed for the backward pass."""
     emb: np.ndarray                    # (n, d)
-    segments: list[tuple]              # ("image", ref) / ("text", token_id) per position
     text_positions: list[int]
     text_ids: list[int]
     image_blocks: list[tuple]          # (start position, projector cache)
@@ -138,10 +143,8 @@ def assemble_caption(sample: CaptionSample, cfg: ModelConfig, vocab: Vocab, para
     img_emb, proj_cache = project(pooled, params)
     ids = tokenize(sample.text, vocab)[: cfg.max_seq_len - t2]
     emb = np.concatenate([img_emb, params["tok_emb"][ids]]) if ids else img_emb
-    segments = [("image", f"{sample.id}#0")] * t2 + [("text", tid) for tid in ids]
     return AssembledSequence(
         emb=emb,
-        segments=segments,
         text_positions=list(range(t2, t2 + len(ids))),
         text_ids=list(ids),
         image_blocks=[(0, proj_cache)],
@@ -182,7 +185,7 @@ def assemble_interleaved(doc: InterleavedDoc, cfg: ModelConfig, vocab: Vocab, pa
             parts[i] = ("text", ids[: len(ids) - cut])
             drop -= cut
 
-    chunks, segments, text_positions, text_ids, image_blocks = [], [], [], [], []
+    chunks, text_positions, text_ids, image_blocks = [], [], [], []
     pos = 0
     for part in parts:
         if part[0] == "text":
@@ -190,7 +193,6 @@ def assemble_interleaved(doc: InterleavedDoc, cfg: ModelConfig, vocab: Vocab, pa
             if not ids:
                 continue
             chunks.append(params["tok_emb"][ids])
-            segments.extend(("text", tid) for tid in ids)
             text_positions.extend(range(pos, pos + len(ids)))
             text_ids.extend(ids)
             pos += len(ids)
@@ -199,12 +201,11 @@ def assemble_interleaved(doc: InterleavedDoc, cfg: ModelConfig, vocab: Vocab, pa
             pooled = _pooled_vectors(payload, cfg.encoder, key, pooled_cache)
             img_emb, proj_cache = project(pooled, params)
             chunks.append(img_emb)
-            segments.extend([("image", key)] * t2)
             image_blocks.append((pos, proj_cache))
             pos += t2
     emb = np.concatenate(chunks) if chunks else np.zeros((0, cfg.d))
-    return AssembledSequence(emb=emb, segments=segments, text_positions=text_positions,
-                             text_ids=text_ids, image_blocks=image_blocks)
+    return AssembledSequence(emb=emb, text_positions=text_positions, text_ids=text_ids,
+                             image_blocks=image_blocks)
 
 
 def assemble(record, cfg: ModelConfig, vocab: Vocab, params: Params, pooled_cache=None):
@@ -220,22 +221,49 @@ def assemble(record, cfg: ModelConfig, vocab: Vocab, params: Params, pooled_cach
 # --- forward / backward ----------------------------------------------------------
 
 
-def forward_score(asm: AssembledSequence, cfg: ModelConfig, params: Params,
-                  keep_cache: bool = False):
-    """Raw scalar score from the last position.  Returns (score, cache)."""
+def _embed(asm: AssembledSequence, params: Params) -> np.ndarray:
     n = len(asm)
     if n == 0:
         raise DataError("cannot score an empty sequence")
-    x = asm.emb + params["pos_emb"][:n]
+    return asm.emb + params["pos_emb"][:n]
+
+
+def _head(h_last: np.ndarray, params: Params) -> float:
+    return float(h_last @ params["head_w"][:, 0] + params["head_b"][0])
+
+
+def forward_score(asm: AssembledSequence, cfg: ModelConfig, params: Params,
+                  keep_cache: bool = False):
+    """Raw scalar score from the last position.  Returns (score, cache).
+
+    The full forward that training differentiates: every block runs on
+    every position.
+    """
+    x = _embed(asm, params)
     block_caches = []
     for i in range(cfg.n_layers):
         bp = _subparams(params, f"blocks.{i}.")
         x, cache = transformer_block(x, bp, cfg.n_heads)
         block_caches.append(cache)
     h, ln_cache = layer_norm(x, params["ln_f_g"], params["ln_f_b"])
-    score = float(h[-1] @ params["head_w"][:, 0] + params["head_b"][0])
+    score = _head(h[-1], params)
     cache = (asm, h, ln_cache, block_caches) if keep_cache else None
     return score, cache
+
+
+def infer_score(asm: AssembledSequence, cfg: ModelConfig, params: Params) -> float:
+    """Raw scalar score from the last position, forward only.
+
+    Every block but the last runs in full; the last block attends and runs
+    its MLP for the last row only, and the final LN and head see that row.
+    Equal to forward_score up to rounding (within 1e-12).
+    """
+    x = _embed(asm, params)
+    for i in range(cfg.n_layers):
+        x = transformer_block_infer(x, _subparams(params, f"blocks.{i}."), cfg.n_heads,
+                                    last_only=i == cfg.n_layers - 1)
+    h, _ = layer_norm(x[-1:], params["ln_f_g"], params["ln_f_b"])
+    return _head(h[-1], params)
 
 
 def backward_score(dscore: float, cfg: ModelConfig, params: Params, cache, grads: Params):
@@ -285,8 +313,7 @@ class QualityModel:
 
     def score_record(self, record, pooled_cache=None) -> float:
         asm = assemble(record, self.config, self.vocab, self.params, pooled_cache)
-        score, _ = forward_score(asm, self.config, self.params)
-        return score
+        return infer_score(asm, self.config, self.params)
 
 
 def save_model(path, model: QualityModel, extra_meta: dict | None = None) -> None:

@@ -58,11 +58,19 @@ def score_corpus(records: list, model, cfg: FilterConfig | None = None,
     """Score records in corpus order.
 
     Returns (scored, rejects).  Records the model cannot assemble (over
-    length, empty text) become reject entries instead of aborting the run.
-    Each sample is forwarded on its own inside a batch, so scores are
-    bitwise independent of batch size and worker count.
+    length, empty text) or whose score is not finite become reject entries
+    instead of aborting the run.  Duplicate record ids are a DataError,
+    raised before anything is scored.  Each sample is forwarded on its own
+    inside a batch, so scores are bitwise independent of batch size and
+    worker count.
     """
     cfg = cfg or FilterConfig()
+    seen: set[str] = set()
+    for rec in records:
+        rid = _unwrap(rec).id
+        if rid in seen:
+            raise DataError(f"duplicate record id {rid!r}")
+        seen.add(rid)
 
     def score_batch(batch: list[tuple[int, object]]):
         out = []
@@ -73,8 +81,11 @@ def score_corpus(records: list, model, cfg: FilterConfig | None = None,
             except DataError as exc:
                 out.append((pos, None, {"id": raw.id, "error": str(exc)}))
             else:
-                out.append((pos, ScoredRecord(id=raw.id, score=score,
-                                              modality=_modality(raw)), None))
+                if math.isfinite(score):
+                    out.append((pos, ScoredRecord(id=raw.id, score=score,
+                                                  modality=_modality(raw)), None))
+                else:
+                    out.append((pos, None, {"id": raw.id, "error": "non-finite score"}))
         return out
 
     batches = [list(enumerate(records))[i:i + cfg.batch_size]

@@ -12,6 +12,7 @@ from unifilter.classifier import (
     assemble_interleaved,
     backward_score,
     forward_score,
+    infer_score,
     init_params,
     load_model,
     save_model,
@@ -57,27 +58,39 @@ def _model(vocab_texts=("a fox rests by the kettle an opening line a closing lin
     return QualityModel(config=TINY, vocab=vocab, params=params)
 
 
+def _image_rows(model, seed):
+    """The projected tokens of image _pixels(seed), as assembly places them."""
+    pooled = adaptive_avg_pool_2d(patchify_embed(_pixels(seed), TINY.encoder), TINY.encoder.t)
+    return project(pooled, model.params)[0]
+
+
 def test_caption_layout_image_tokens_then_text():
     model = _model()
     asm = assemble_caption(_caption(), TINY, model.vocab, model.params)
     t2 = TINY.encoder.tokens_per_image()
-    kinds = [seg[0] for seg in asm.segments]
-    assert kinds[:t2] == ["image"] * t2
-    assert all(k == "text" for k in kinds[t2:])
-    assert asm.text_ids == tokenize("a fox rests by the kettle", model.vocab)
+    ids = tokenize("a fox rests by the kettle", model.vocab)
+    assert [start for start, _ in asm.image_blocks] == [0]
+    assert asm.text_positions == list(range(t2, t2 + len(ids)))
+    assert asm.text_ids == ids
+    assert len(asm) == t2 + len(ids)
 
 
 def test_interleaved_layout_preserves_item_order():
     model = _model()
     asm = assemble_interleaved(_doc(), TINY, model.vocab, model.params)
     t2 = TINY.encoder.tokens_per_image()
-    kinds = [seg[0] for seg in asm.segments]
-    n_open = len(tokenize("an opening line", model.vocab))
-    n_close = len(tokenize("a closing line", model.vocab))
-    expected = (["text"] * n_open + ["image"] * t2 + ["text"] * n_close + ["image"] * t2)
-    assert kinds == expected
-    assert [seg[1] for seg in asm.segments if seg[0] == "image"][::t2] == [
-        "doc-0#0", "doc-0#1"]
+    open_ids = tokenize("an opening line", model.vocab)
+    close_ids = tokenize("a closing line", model.vocab)
+    n_open, n_close = len(open_ids), len(close_ids)
+    second = n_open + t2 + n_close
+    assert [start for start, _ in asm.image_blocks] == [n_open, second]
+    assert asm.text_positions == (list(range(n_open))
+                                  + list(range(n_open + t2, n_open + t2 + n_close)))
+    assert asm.text_ids == open_ids + close_ids
+    assert len(asm) == second + t2
+    # each block holds its own image, in item order
+    for (start, _), seed in zip(asm.image_blocks, (0, 100)):
+        assert np.array_equal(asm.emb[start:start + t2], _image_rows(model, seed))
 
 
 def test_caption_truncates_text_to_fit():
@@ -97,11 +110,12 @@ def test_interleaved_drops_trailing_text_first_keeps_all_images():
     asm = assemble_interleaved(InterleavedDoc(id="d", items=items),
                                TINY, model.vocab, model.params)
     t2 = TINY.encoder.tokens_per_image()
-    kinds = [seg[0] for seg in asm.segments]
+    n_late = TINY.max_seq_len - 2 * t2 - 10
     assert len(asm) == TINY.max_seq_len
-    assert kinds.count("image") == 2 * t2  # images never dropped
+    # images never dropped
+    assert [start for start, _ in asm.image_blocks] == [10, 10 + t2 + n_late]
     # the early text survives in full; the cut lands on the trailing text
-    assert kinds[:10] == ["text"] * 10
+    assert asm.text_positions == list(range(10)) + list(range(10 + t2, 10 + t2 + n_late))
 
 
 def test_too_many_image_tokens_is_an_error():
@@ -138,6 +152,32 @@ def test_forward_matches_straight_line_recompute():
     h, _ = layer_norm(x, p["ln_f_g"], p["ln_f_b"])
     expected = float(h[-1] @ p["head_w"][:, 0] + p["head_b"][0])
     assert score == expected
+
+
+TWO_LAYERS = ModelConfig(d=8, n_layers=2, n_heads=2, max_seq_len=32, encoder=TINY.encoder)
+
+
+@pytest.mark.parametrize("cfg", [TINY, TWO_LAYERS], ids=["one-layer", "two-layers"])
+@pytest.mark.parametrize("record", [
+    _caption(seed=4),
+    _doc(seed=5),
+    InterleavedDoc(id="one-token", items=[DocItem(kind="text", text="fox")]),
+    CaptionSample(id="full", image=_pixels(6), text=" ".join(["kettle"] * 100)),
+], ids=["caption", "document", "one-token", "max-seq-len"])
+def test_inference_path_matches_full_forward(cfg, record):
+    vocab = build_vocab(["a fox rests by the kettle an opening line a closing line"])
+    params = init_params(cfg, len(vocab), child_rng(1, "init"))
+    # larger weights than init so that rounding differences have room to show
+    params = {k: v * 20.0 if v.ndim == 2 else v for k, v in params.items()}
+    model = QualityModel(config=cfg, vocab=vocab, params=params)
+    asm = assemble(record, cfg, vocab, params)
+    full, _ = forward_score(asm, cfg, params)
+    assert abs(infer_score(asm, cfg, params) - full) <= 1e-12
+    assert model.score_record(record) == infer_score(asm, cfg, params)
+    if record.id == "full":
+        assert len(asm) == cfg.max_seq_len
+    if record.id == "one-token":
+        assert len(asm) == 1
 
 
 def test_one_model_scores_both_modalities():

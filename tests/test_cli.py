@@ -159,6 +159,36 @@ def test_bench_cli(tmp_path):
     assert all(row["samples_per_s"] > 0 for row in bench["rows"])
 
 
+def test_scores_do_not_depend_on_batch_size_or_workers(tmp_path):
+    data = _gen(tmp_path, seed=7, levels_count=2)
+    ckpt = _train(tmp_path, data)
+    outputs = []
+    for name, flags in (("default", []), ("batch1", ["--batch-size", "1"]),
+                        ("workers2", ["--workers", "2"])):
+        out = tmp_path / f"{name}.jsonl"
+        rc = main(["score", "--checkpoint", str(ckpt), "--in", str(data / "train.jsonl"),
+                   "--out", str(out), *flags])
+        assert rc == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] and outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+def test_duplicate_record_ids_exit_3_before_scoring(tmp_path, capsys):
+    data = _gen(tmp_path, seed=2, levels_count=2)
+    ckpt = _train(tmp_path, data)
+    lines = (data / "val.jsonl").read_text().splitlines()
+    corpus = tmp_path / "dup.jsonl"
+    corpus.write_text("\n".join(lines + lines[:1]) + "\n")
+    capsys.readouterr()
+    out = tmp_path / "dup_scores.jsonl"
+    rc = main(["score", "--checkpoint", str(ckpt), "--in", str(corpus), "--out", str(out)])
+    assert rc == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "data"
+    assert "duplicate record id" in err["message"]
+    assert not out.exists()
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["train", "--no-such-flag"])

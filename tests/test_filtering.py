@@ -339,9 +339,15 @@ def test_corpus_stats_rejects_empty_and_bad_fraction():
 class _StubModel:
     """Scores by id digits; over-length ids raise like the real model."""
 
+    def __init__(self):
+        self.calls = 0
+
     def score_record(self, record):
+        self.calls += 1
         if record.id.endswith("bad"):
             raise DataError(f"record {record.id!r}: too long")
+        if record.id.endswith(("nan", "inf")):
+            return float(record.id[-3:])
         return float(int(record.id[-1])) / 10.0
 
 
@@ -353,6 +359,24 @@ def test_score_corpus_orders_and_rejects():
     assert [s.id for s in scored] == ["s0", "s1", "s2", "s3", "s4"]
     assert [r["id"] for r in rejects] == ["sbad"]
     assert "too long" in rejects[0]["error"]
+
+
+def test_score_corpus_rejects_non_finite_scores():
+    img = ImagePayload(pixels=np.zeros((1, 2, 2)))
+    records = [CaptionSample(id=rid, image=img, text="t") for rid in ("s1", "snan", "sinf", "s2")]
+    scored, rejects = score_corpus(records, _StubModel(), FilterConfig(batch_size=3))
+    assert [(s.id, s.score) for s in scored] == [("s1", 0.1), ("s2", 0.2)]
+    assert rejects == [{"id": "snan", "error": "non-finite score"},
+                       {"id": "sinf", "error": "non-finite score"}]
+
+
+def test_score_corpus_refuses_duplicate_ids_before_scoring():
+    img = ImagePayload(pixels=np.zeros((1, 2, 2)))
+    records = [CaptionSample(id=rid, image=img, text="t") for rid in ("s1", "s2", "s1")]
+    model = _StubModel()
+    with pytest.raises(DataError, match="duplicate record id 's1'"):
+        score_corpus(records, model, FilterConfig())
+    assert model.calls == 0
 
 
 def test_score_corpus_empty_input():
