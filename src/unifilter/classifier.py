@@ -31,7 +31,7 @@ from .common import DataError, NumericError, child_rng
 from .encoder import EncoderConfig, adaptive_avg_pool_2d, patchify_embed, project, project_backward
 from .nn import (AdamConfig, Params, adam_init, adam_step, layer_norm, layer_norm_backward,
                  save_tensors, load_tensors, transformer_block, transformer_block_backward,
-                 transformer_block_infer)
+                 transformer_block_last_row)
 from .packing import Vocab, build_vocab, tokenize
 from .records import CaptionSample, InterleavedDoc, LabeledSample
 
@@ -49,6 +49,8 @@ class ModelConfig:
     def __post_init__(self):
         if isinstance(self.encoder, dict):
             self.encoder = EncoderConfig(**self.encoder)
+        if self.n_layers < 1:
+            raise DataError(f"n_layers={self.n_layers}: the model needs at least one block")
         if self.d % self.n_heads:
             raise DataError(f"d={self.d} not divisible by n_heads={self.n_heads}")
         if self.encoder.d != self.d:
@@ -259,11 +261,12 @@ def infer_score(asm: AssembledSequence, cfg: ModelConfig, params: Params) -> flo
     Equal to forward_score up to rounding (within 1e-12).
     """
     x = _embed(asm, params)
-    for i in range(cfg.n_layers):
-        x = transformer_block_infer(x, _subparams(params, f"blocks.{i}."), cfg.n_heads,
-                                    last_only=i == cfg.n_layers - 1)
-    h, _ = layer_norm(x[-1:], params["ln_f_g"], params["ln_f_b"])
-    return _head(h[-1], params)
+    last = cfg.n_layers - 1
+    for i in range(last):
+        x, _ = transformer_block(x, _subparams(params, f"blocks.{i}."), cfg.n_heads)
+    x = transformer_block_last_row(x, _subparams(params, f"blocks.{last}."), cfg.n_heads)
+    h, _ = layer_norm(x, params["ln_f_g"], params["ln_f_b"])
+    return _head(h[0], params)
 
 
 def backward_score(dscore: float, cfg: ModelConfig, params: Params, cache, grads: Params):

