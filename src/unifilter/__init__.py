@@ -6,7 +6,16 @@ then filter, pack, and report on a corpus with it.  Pure numpy/scipy; every
 step is seeded and byte-reproducible.
 """
 
-from .classifier import (
+import os
+
+# One OpenBLAS thread per process: the model's matmuls are too small to gain
+# from BLAS threading, parallelism comes from score workers instead, and
+# scores no longer depend on how many cores the host has.  A value the user
+# set wins.  This must run before numpy loads OpenBLAS, so it has no effect
+# when numpy was imported before unifilter.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from .classifier import (  # noqa: E402  (after the thread policy)
     ModelConfig,
     QualityModel,
     TrainConfig,

@@ -42,6 +42,7 @@ class RunManifest:
     outputs: dict
     version: str = __version__
     wall_time_s: float = 0.0
+    blas_threads: str | None = None   # OPENBLAS_NUM_THREADS after the thread policy
 
     def write(self, path):
         write_json_file(path, asdict(self))
@@ -55,7 +56,7 @@ def _manifest_path(primary_out) -> Path:
 
 
 def _resolve_workers(flag_value) -> int:
-    """Explicit flag wins, then the UNIFILTER_THREADS env var, then 1."""
+    """Explicit flag wins, then the UNIFILTER_THREADS env var, then the usable CPUs."""
     if flag_value is not None:
         return flag_value
     env = os.environ.get(THREADS_ENV)
@@ -64,7 +65,7 @@ def _resolve_workers(flag_value) -> int:
             return int(env)
         except ValueError:
             raise DataError(f"{THREADS_ENV} must be an integer, got {env!r}")
-    return 1
+    return len(os.sched_getaffinity(0))
 
 
 def _load_json(path) -> dict:
@@ -380,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--batch-size", type=int, default=16)
     p.add_argument("--workers", type=int, default=None,
-                   help=f"default 1, or ${THREADS_ENV} when set")
+                   help=f"default ${THREADS_ENV} when set, else the usable CPU count")
 
     p = add("filter", cmd_filter, "keep the top fraction of records by score")
     p.add_argument("--scores", required=True)
@@ -452,6 +453,7 @@ def main(argv=None) -> int:
         inputs=inputs,
         outputs=outputs,
         wall_time_s=time.perf_counter() - start,
+        blas_threads=os.environ.get("OPENBLAS_NUM_THREADS"),
     )
     manifest.write(_manifest_path(getattr(args, _PRIMARY_OUT[args.subcommand])))
     return 0

@@ -113,16 +113,16 @@ def project(pooled: np.ndarray, params) -> tuple[np.ndarray, tuple]:
     t2 = pooled.shape[0] * pooled.shape[1]
     x = pooled.reshape(t2, -1)
     h1 = linear(x, params["proj_w1"], params["proj_b1"])
-    g = gelu(h1)
+    g, cdf = gelu(h1)
     out = linear(g, params["proj_w2"], params["proj_b2"])
-    return out, (x, h1, g, params)
+    return out, (x, h1, g, cdf, params)
 
 
 def project_backward(dy, cache):
     """Gradients for the projector MLP; the pooled input is a frozen constant."""
-    x, h1, g, params = cache
+    x, h1, g, cdf, params = cache
     dg, dw2, db2 = linear_backward(dy, g, params["proj_w2"])
-    dh1 = gelu_backward(dg, h1)
+    dh1 = gelu_backward(dg, h1, cdf)
     _, dw1, db1 = linear_backward(dh1, x, params["proj_w1"])
     return {"proj_w1": dw1, "proj_b1": db1, "proj_w2": dw2, "proj_b2": db2}
 

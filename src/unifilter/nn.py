@@ -40,22 +40,32 @@ def linear_backward(dy, x, w):
     return dy @ w.T, x.T @ dy, dy.sum(axis=0)
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    """Exact erf-based GELU."""
-    return 0.5 * x * (1.0 + erf(x * _INV_SQRT2))
+def gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact erf-based GELU.  Returns (y, cdf) with y = x * cdf.
 
-
-def gelu_backward(dy, x):
+    cdf is the normal CDF at x, which gelu_backward reuses so erf runs once
+    per activation.  Scaling by 0.5 is exact, so y is bitwise equal to
+    0.5 * x * (1 + erf) over the same erf values.
+    """
     cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    return x * cdf, cdf
+
+
+def gelu_backward(dy, x, cdf):
+    """dy * GELU'(x), with cdf the second value gelu(x) returned."""
     pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
     return dy * (cdf + x * pdf)
 
 
 def softmax_rows(s: np.ndarray) -> np.ndarray:
-    """Row-wise softmax, numerically stable for large magnitudes."""
-    shifted = s - s.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Row-wise softmax, numerically stable for large magnitudes.
+
+    Overwrites s with the result and returns it.
+    """
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    return s
 
 
 def layer_norm(x, gamma, beta):
@@ -99,10 +109,11 @@ def causal_self_attention(x: np.ndarray, p: Params, n_heads: int):
     kh = k.reshape(n, n_heads, dh).transpose(1, 0, 2)
     vh = v.reshape(n, n_heads, dh).transpose(1, 0, 2)
     scale = 1.0 / math.sqrt(dh)
-    scores = (qh @ kh.transpose(0, 2, 1)) * scale
-    mask = np.triu(np.ones((n, n), dtype=bool), k=1)
-    scores[:, mask] = -np.inf
-    attn = softmax_rows(scores)
+    # one (heads, n, n) buffer: scores, then masked scores, then attention
+    attn = qh @ kh.transpose(0, 2, 1)
+    attn *= scale
+    attn += np.triu(np.full((n, n), -np.inf), k=1)
+    softmax_rows(attn)
     outh = attn @ vh  # (heads, n, dh)
     concat = outh.transpose(1, 0, 2).reshape(n, d)
     out = linear(concat, p["wo"], p["bo"])
@@ -149,10 +160,10 @@ def transformer_block(x: np.ndarray, p: Params, n_heads: int):
     x1 = x + a
     h2, ln2_cache = layer_norm(x1, p["ln2_g"], p["ln2_b"])
     m1 = linear(h2, p["w1"], p["b1"])
-    g = gelu(m1)
+    g, cdf = gelu(m1)
     m2 = linear(g, p["w2"], p["b2"])
     out = x1 + m2
-    cache = (ln1_cache, attn_cache, ln2_cache, h2, m1, g, p)
+    cache = (ln1_cache, attn_cache, ln2_cache, h2, m1, g, cdf, p)
     return out, cache
 
 
@@ -177,15 +188,16 @@ def transformer_block_last_row(x: np.ndarray, p: Params, n_heads: int) -> np.nda
     concat = (attn @ vh).transpose(1, 0, 2).reshape(1, d)
     x1 = x[-1:] + linear(concat, p["wo"], p["bo"])
     h2, _ = layer_norm(x1, p["ln2_g"], p["ln2_b"])
-    return x1 + linear(gelu(linear(h2, p["w1"], p["b1"])), p["w2"], p["b2"])
+    g, _ = gelu(linear(h2, p["w1"], p["b1"]))
+    return x1 + linear(g, p["w2"], p["b2"])
 
 
 def transformer_block_backward(dy, cache):
-    ln1_cache, attn_cache, ln2_cache, h2, m1, g, p = cache
+    ln1_cache, attn_cache, ln2_cache, h2, m1, g, cdf, p = cache
     grads: Params = {}
 
     dg, dw2, db2 = linear_backward(dy, g, p["w2"])
-    dm1 = gelu_backward(dg, m1)
+    dm1 = gelu_backward(dg, m1, cdf)
     dh2, dw1, db1 = linear_backward(dm1, h2, p["w1"])
     dx1, dln2_g, dln2_b = layer_norm_backward(dh2, ln2_cache)
     dx1 = dx1 + dy  # residual

@@ -2,9 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import unifilter
 from unifilter.cli import main
 
 TINY_CFG = {
@@ -217,7 +221,7 @@ def test_threads_env_var_sets_workers(tmp_path, monkeypatch):
                "--out", str(tmp_path / "s_default.jsonl")])
     assert rc == 0
     manifest = json.loads((tmp_path / "s_default.jsonl.manifest.json").read_text())
-    assert manifest["config"]["workers"] == 1
+    assert manifest["config"]["workers"] == len(os.sched_getaffinity(0))
     monkeypatch.setenv("UNIFILTER_THREADS", "3")
     rc = main(["score", "--checkpoint", str(ckpt), "--in", str(data / "val.jsonl"),
                "--out", str(tmp_path / "s_env.jsonl")])
@@ -229,11 +233,34 @@ def test_threads_env_var_sets_workers(tmp_path, monkeypatch):
                "--out", str(tmp_path / "s_flag.jsonl"), "--workers", "2"])
     manifest = json.loads((tmp_path / "s_flag.jsonl.manifest.json").read_text())
     assert manifest["config"]["workers"] == 2
-    # and worker count never changes the scores
+    rc = main(["score", "--checkpoint", str(ckpt), "--in", str(data / "val.jsonl"),
+               "--out", str(tmp_path / "s_one.jsonl"), "--workers", "1"])
+    assert rc == 0
+    # and worker count (default, 3, 2, 1) never changes the scores
     default = (tmp_path / "s_default.jsonl").read_bytes()
     assert default
-    assert (tmp_path / "s_env.jsonl").read_bytes() == default
-    assert (tmp_path / "s_flag.jsonl").read_bytes() == default
+    for name in ("s_env.jsonl", "s_flag.jsonl", "s_one.jsonl"):
+        assert (tmp_path / name).read_bytes() == default
+
+
+def test_blas_thread_policy_in_a_fresh_interpreter(tmp_path):
+    """Importing unifilter first sets one BLAS thread unless the user chose a count."""
+    data = _gen(tmp_path, seed=6, levels_count=2)
+    ckpt = _train(tmp_path, data)
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "UNIFILTER_THREADS")}
+    src = str(Path(unifilter.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for user_value, expected in ((None, "1"), ("2", "2")):
+        if user_value is not None:
+            env["OPENBLAS_NUM_THREADS"] = user_value
+        out = tmp_path / f"s_blas_{expected}.jsonl"
+        subprocess.run([sys.executable, "-m", "unifilter.cli", "score", "--checkpoint", str(ckpt),
+                        "--in", str(data / "val.jsonl"), "--out", str(out)],
+                       env=env, check=True, timeout=120)
+        manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text())
+        assert manifest["blas_threads"] == expected
+        assert manifest["config"]["workers"] == len(os.sched_getaffinity(0))
 
 
 def test_every_subcommand_writes_a_manifest(tmp_path):
@@ -244,4 +271,4 @@ def test_every_subcommand_writes_a_manifest(tmp_path):
           "--out", str(tmp_path / "sc.jsonl")])
     manifest = json.loads((tmp_path / "sc.jsonl.manifest.json").read_text())
     assert {"subcommand", "config", "seed", "inputs", "outputs",
-            "version", "wall_time_s"} <= set(manifest)
+            "version", "wall_time_s", "blas_threads"} <= set(manifest)

@@ -36,9 +36,13 @@ def _rng(seed):
 
 
 def test_gelu_matches_erf_formula():
-    x = np.linspace(-4, 4, 41)
-    expected = 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
-    assert np.allclose(gelu(x), expected, atol=1e-12)
+    x = np.concatenate([np.linspace(-4, 4, 41), _rng(12).normal(0.0, 3.0, size=1000)])
+    # the argument is scaled by 1/sqrt(2), as the forward computes it;
+    # x / sqrt(2) rounds differently in some entries
+    erf_x = erf(x * (1.0 / np.sqrt(2.0)))
+    y, cdf = gelu(x)
+    assert np.array_equal(cdf, 0.5 * (1.0 + erf_x))
+    assert np.array_equal(y, 0.5 * x * (1.0 + erf_x))
 
 
 def test_gelu_gradient():
@@ -46,9 +50,9 @@ def test_gelu_gradient():
     x0 = rng.normal(size=(3, 5))
 
     def f(params):
-        y = gelu(params["x"])
+        y, cdf = gelu(params["x"])
         loss = float((y ** 2).sum())
-        dx = gelu_backward(2.0 * y, params["x"])
+        dx = gelu_backward(2.0 * y, params["x"], cdf)
         return loss, {"x": dx}
 
     assert grad_check(f, {"x": x0}) < GRAD_TOL
@@ -94,7 +98,11 @@ def test_layer_norm_gradients():
 def test_softmax_rows_sum_to_one_and_handle_large_logits():
     rng = _rng(4)
     x = rng.normal(size=(5, 7)) * 500.0
+    shifted = np.exp(x - x.max(axis=-1, keepdims=True))
+    expected = shifted / shifted.sum(axis=-1, keepdims=True)
     p = softmax_rows(x)
+    assert p is x  # overwritten in place
+    assert np.array_equal(p, expected)
     assert np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
     assert np.isfinite(p).all()
 
@@ -118,6 +126,28 @@ def test_attention_is_causal():
     x2[4:] += 100.0  # only future positions move
     y2, _ = causal_self_attention(x2, p, n_heads=2)
     assert np.array_equal(y1[:4], y2[:4])
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 300])
+def test_attention_matches_boolean_mask_reference(n):
+    rng = _rng(13)
+    d, n_heads = 8, 2
+    p = _attn_params(rng, d)
+    x = rng.normal(size=(n, d))
+    out, cache = causal_self_attention(x, p, n_heads=n_heads)
+
+    # straight-line reference: separate arrays, boolean-mask assignment
+    dh = d // n_heads
+    qh, kh, vh = (linear(x, p["w" + c], p["b" + c]).reshape(n, n_heads, dh).transpose(1, 0, 2)
+                  for c in "qkv")
+    scores = (qh @ kh.transpose(0, 2, 1)) * (1.0 / np.sqrt(dh))
+    scores[:, np.triu(np.ones((n, n), dtype=bool), k=1)] = -np.inf
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    attn = e / e.sum(axis=-1, keepdims=True)
+    expected = linear((attn @ vh).transpose(1, 0, 2).reshape(n, d), p["wo"], p["bo"])
+
+    assert np.array_equal(cache[6], attn)
+    assert np.array_equal(out, expected)
 
 
 def test_attention_gradients():
