@@ -10,10 +10,11 @@ emits one raw quality score (no language-model head anywhere).  Training
 minimizes MSE against the 0..3 level labels and keeps the epoch checkpoint
 with the best validation accuracy.
 
-Scoring (QualityModel.score_record, hence score, eval and validation) runs
-infer_score, a forward-only path that computes the last block for the last
-position only; training runs forward_score on every position.  The two
-agree up to rounding (within 1e-12), not bitwise.
+The head reads one position and training fits one scalar, so the last
+block computes only what that position needs (transformer_block_last_row):
+keys and values cover every position, its query, attention and MLP the
+last row only.  forward_score and backward_score are the one forward and
+backward: training, validation, eval, score and bench all run them.
 
 Over-length policy: image tokens are never dropped.  Text is truncated from
 the right until the sequence fits max_seq_len; a record whose image tokens
@@ -31,7 +32,7 @@ from .common import DataError, NumericError, child_rng
 from .encoder import EncoderConfig, adaptive_avg_pool_2d, patchify_embed, project, project_backward
 from .nn import (AdamConfig, Params, adam_init, adam_step, layer_norm, layer_norm_backward,
                  save_tensors, load_tensors, transformer_block, transformer_block_backward,
-                 transformer_block_last_row)
+                 transformer_block_last_row, transformer_block_last_row_backward)
 from .packing import Vocab, build_vocab, tokenize
 from .records import CaptionSample, InterleavedDoc, LabeledSample
 
@@ -68,6 +69,23 @@ class TrainConfig:
     beta2: float = 0.98
     eps: float = 1e-8
     vocab_min_count: int = 1
+
+    def __post_init__(self):
+        for name in ("epochs", "batch_size", "vocab_min_count"):
+            _check_field(self, name, lambda v: isinstance(v, int) and v >= 1, "an integer >= 1")
+        for name in ("peak_lr", "eps"):
+            _check_field(self, name, lambda v: v > 0, "a finite number > 0")
+        _check_field(self, "weight_decay", lambda v: v >= 0, "a finite number >= 0")
+        for name in ("warmup_frac", "beta1", "beta2"):
+            _check_field(self, name, lambda v: 0 <= v < 1, "a number in [0, 1)")
+
+
+def _check_field(cfg, name: str, ok, rule: str) -> None:
+    """DataError unless the field is a finite real number (not a bool) that passes ok."""
+    value = getattr(cfg, name)
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and math.isfinite(value) and ok(value)):
+        raise DataError(f"{name}={value!r}: must be {rule}")
 
 
 def init_params(cfg: ModelConfig, vocab_size: int, rng: np.random.Generator) -> Params:
@@ -238,50 +256,37 @@ def forward_score(asm: AssembledSequence, cfg: ModelConfig, params: Params,
                   keep_cache: bool = False):
     """Raw scalar score from the last position.  Returns (score, cache).
 
-    The full forward that training differentiates: every block runs on
-    every position.
-    """
-    x = _embed(asm, params)
-    block_caches = []
-    for i in range(cfg.n_layers):
-        bp = _subparams(params, f"blocks.{i}.")
-        x, cache = transformer_block(x, bp, cfg.n_heads)
-        block_caches.append(cache)
-    h, ln_cache = layer_norm(x, params["ln_f_g"], params["ln_f_b"])
-    score = _head(h[-1], params)
-    cache = (asm, h, ln_cache, block_caches) if keep_cache else None
-    return score, cache
-
-
-def infer_score(asm: AssembledSequence, cfg: ModelConfig, params: Params) -> float:
-    """Raw scalar score from the last position, forward only.
-
-    Every block but the last runs in full; the last block attends and runs
-    its MLP for the last row only, and the final LN and head see that row.
-    Equal to forward_score up to rounding (within 1e-12).
+    Every block but the last runs on every position; the last block runs
+    its query, attention and MLP for the last row only, and the final LN
+    and head see that row.
     """
     x = _embed(asm, params)
     last = cfg.n_layers - 1
+    block_caches = []
     for i in range(last):
-        x, _ = transformer_block(x, _subparams(params, f"blocks.{i}."), cfg.n_heads)
-    x = transformer_block_last_row(x, _subparams(params, f"blocks.{last}."), cfg.n_heads)
-    h, _ = layer_norm(x, params["ln_f_g"], params["ln_f_b"])
-    return _head(h[0], params)
+        x, cache = transformer_block(x, _subparams(params, f"blocks.{i}."), cfg.n_heads)
+        block_caches.append(cache)
+    x, cache = transformer_block_last_row(x, _subparams(params, f"blocks.{last}."), cfg.n_heads)
+    block_caches.append(cache)
+    h, ln_cache = layer_norm(x, params["ln_f_g"], params["ln_f_b"])
+    score = _head(h[0], params)
+    cache = (asm, h, ln_cache, block_caches) if keep_cache else None
+    return score, cache
 
 
 def backward_score(dscore: float, cfg: ModelConfig, params: Params, cache, grads: Params):
     """Accumulate d(score * dscore)/d(params) into grads, in place."""
     asm, h, ln_cache, block_caches = cache
     n = len(asm)
-    dh = np.zeros_like(h)
-    dh[-1] = dscore * params["head_w"][:, 0]
-    grads["head_w"][:, 0] += dscore * h[-1]
+    grads["head_w"][:, 0] += dscore * h[0]
     grads["head_b"][0] += dscore
-    dx, dg, db = layer_norm_backward(dh, ln_cache)
+    dx, dg, db = layer_norm_backward(dscore * params["head_w"].T, ln_cache)
     grads["ln_f_g"] += dg
     grads["ln_f_b"] += db
-    for i in range(cfg.n_layers - 1, -1, -1):
-        dx, bgrads = transformer_block_backward(dx, block_caches[i])
+    last = cfg.n_layers - 1
+    for i in range(last, -1, -1):
+        backward = transformer_block_last_row_backward if i == last else transformer_block_backward
+        dx, bgrads = backward(dx, block_caches[i])
         pre = f"blocks.{i}."
         for name, g in bgrads.items():
             grads[pre + name] += g
@@ -316,7 +321,7 @@ class QualityModel:
 
     def score_record(self, record, pooled_cache=None) -> float:
         asm = assemble(record, self.config, self.vocab, self.params, pooled_cache)
-        return infer_score(asm, self.config, self.params)
+        return forward_score(asm, self.config, self.params)[0]
 
 
 def save_model(path, model: QualityModel, extra_meta: dict | None = None) -> None:

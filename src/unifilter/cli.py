@@ -178,6 +178,8 @@ def cmd_cluster(args):
 def _config_overlay(config_path, flag_values: dict) -> dict:
     """File config first, then non-None flags on top (flags win)."""
     obj = _load_json(config_path) if config_path else {}
+    if not isinstance(obj, dict):
+        raise DataError(f"{config_path}: config must be a JSON object")
     obj.update({k: v for k, v in flag_values.items() if v is not None})
     return obj
 
@@ -187,6 +189,11 @@ def cmd_train(args):
                                             "batch_size": args.batch_size,
                                             "peak_lr": args.peak_lr})
     enc_fields = cfg_obj.pop("encoder", {})
+    if not isinstance(enc_fields, dict):
+        raise DataError(f"config key 'encoder' must be an object, got {enc_fields!r}")
+    unknown = set(enc_fields) - set(EncoderConfig.__dataclass_fields__)
+    if unknown:
+        raise DataError(f"unknown encoder config keys: {sorted(unknown)}")
     model_fields = {k: cfg_obj.pop(k) for k in ("d", "n_layers", "n_heads", "max_seq_len")
                     if k in cfg_obj}
     if enc_fields:

@@ -121,6 +121,21 @@ def causal_self_attention(x: np.ndarray, p: Params, n_heads: int):
     return out, cache
 
 
+def _attention_heads_backward(doh, qh, kh, vh, attn, scale):
+    """(dqh, dkh, dvh) for outh = attn @ vh with attn = softmax(scale * qh @ kh^T + mask).
+
+    Works per head on any number of query rows: (heads, n, n) attention in
+    the full block, (heads, 1, n) in the last-row block.
+    """
+    dattn = doh @ vh.transpose(0, 2, 1)
+    dvh = attn.transpose(0, 2, 1) @ doh
+    # softmax backward; masked cells have attn == 0 so they contribute nothing
+    dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
+    dqh = (dscores @ kh) * scale
+    dkh = (dscores.transpose(0, 2, 1) @ qh) * scale
+    return dqh, dkh, dvh
+
+
 def causal_self_attention_backward(dy, cache):
     """Returns (dx, grads) matching the parameter names used in the forward."""
     x, p, n_heads, qh, kh, vh, attn, concat, scale = cache
@@ -129,13 +144,7 @@ def causal_self_attention_backward(dy, cache):
 
     dconcat, dwo, dbo = linear_backward(dy, concat, p["wo"])
     doh = dconcat.reshape(n, n_heads, dh).transpose(1, 0, 2)
-
-    dattn = doh @ vh.transpose(0, 2, 1)
-    dvh = attn.transpose(0, 2, 1) @ doh
-    # softmax backward; masked cells have attn == 0 so they contribute nothing
-    dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
-    dqh = (dscores @ kh) * scale
-    dkh = (dscores.transpose(0, 2, 1) @ qh) * scale
+    dqh, dkh, dvh = _attention_heads_backward(doh, qh, kh, vh, attn, scale)
 
     dq = dqh.transpose(1, 0, 2).reshape(n, d)
     dk = dkh.transpose(1, 0, 2).reshape(n, d)
@@ -153,63 +162,98 @@ def causal_self_attention_backward(dy, cache):
 # --- transformer block ------------------------------------------------------------
 
 
-def transformer_block(x: np.ndarray, p: Params, n_heads: int):
-    """Pre-LN block: x + Attn(LN(x)), then x + MLP(LN(x)) with GELU."""
-    h1, ln1_cache = layer_norm(x, p["ln1_g"], p["ln1_b"])
-    a, attn_cache = causal_self_attention(h1, p, n_heads)
-    x1 = x + a
+def _mlp_sublayer(x1: np.ndarray, p: Params):
+    """x1 + MLP(LN2(x1)) with GELU, the second half of a block.  Returns (out, cache)."""
     h2, ln2_cache = layer_norm(x1, p["ln2_g"], p["ln2_b"])
     m1 = linear(h2, p["w1"], p["b1"])
     g, cdf = gelu(m1)
     m2 = linear(g, p["w2"], p["b2"])
-    out = x1 + m2
-    cache = (ln1_cache, attn_cache, ln2_cache, h2, m1, g, cdf, p)
-    return out, cache
+    return x1 + m2, (ln2_cache, h2, m1, g, cdf, p)
 
 
-def transformer_block_last_row(x: np.ndarray, p: Params, n_heads: int) -> np.ndarray:
-    """The last row of transformer_block's output, forward only: (1, d).
+def _mlp_sublayer_backward(dy, cache):
+    """Returns (dx1, grads) for _mlp_sublayer, the residual included."""
+    ln2_cache, h2, m1, g, cdf, p = cache
+    dg, dw2, db2 = linear_backward(dy, g, p["w2"])
+    dm1 = gelu_backward(dg, m1, cdf)
+    dh2, dw1, db1 = linear_backward(dm1, h2, p["w1"])
+    dx1, dln2_g, dln2_b = layer_norm_backward(dh2, ln2_cache)
+    dx1 = dx1 + dy  # residual
+    return dx1, {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2,
+                 "ln2_g": dln2_g, "ln2_b": dln2_b}
 
-    LN1, keys and values cover all n rows; the query, attention, residual,
-    LN2 and MLP run on the last row only.  The last position attends to
-    every position, so its (heads, 1, n) scores need no mask.  Equal to
-    transformer_block(x)[-1:] up to rounding.
+
+def transformer_block(x: np.ndarray, p: Params, n_heads: int):
+    """Pre-LN block: x + Attn(LN(x)), then x + MLP(LN(x)) with GELU."""
+    h1, ln1_cache = layer_norm(x, p["ln1_g"], p["ln1_b"])
+    a, attn_cache = causal_self_attention(h1, p, n_heads)
+    out, mlp_cache = _mlp_sublayer(x + a, p)
+    return out, (ln1_cache, attn_cache, mlp_cache)
+
+
+def transformer_block_backward(dy, cache):
+    ln1_cache, attn_cache, mlp_cache = cache
+    dx1, grads = _mlp_sublayer_backward(dy, mlp_cache)
+    dh1, attn_grads = causal_self_attention_backward(dx1, attn_cache)
+    dx, dln1_g, dln1_b = layer_norm_backward(dh1, ln1_cache)
+    dx = dx + dx1  # residual
+
+    grads.update(attn_grads)
+    grads.update({"ln1_g": dln1_g, "ln1_b": dln1_b})
+    return dx, grads
+
+
+def transformer_block_last_row(x: np.ndarray, p: Params, n_heads: int):
+    """The last row of transformer_block's output, (1, d), and its cache.
+
+    A block whose output feeds only the last position's head needs no other
+    row: LN1, keys and values cover all n rows, while the query, attention,
+    residual, LN2 and MLP run on the last row only.  The last position
+    attends to every position, so its (heads, 1, n) scores need no mask.
+    Equal to transformer_block(x)[0][-1:] up to rounding; the model runs its
+    last block through this function when training and when scoring.
     """
     n, d = x.shape
     dh = d // n_heads
-    h1, _ = layer_norm(x, p["ln1_g"], p["ln1_b"])
+    h1, ln1_cache = layer_norm(x, p["ln1_g"], p["ln1_b"])
     q = linear(h1[-1:], p["wq"], p["bq"])
     k = linear(h1, p["wk"], p["bk"])
     v = linear(h1, p["wv"], p["bv"])
     qh = q.reshape(1, n_heads, dh).transpose(1, 0, 2)  # (heads, 1, dh)
     kh = k.reshape(n, n_heads, dh).transpose(1, 0, 2)
     vh = v.reshape(n, n_heads, dh).transpose(1, 0, 2)
-    attn = softmax_rows((qh @ kh.transpose(0, 2, 1)) * (1.0 / math.sqrt(dh)))
+    scale = 1.0 / math.sqrt(dh)
+    attn = softmax_rows((qh @ kh.transpose(0, 2, 1)) * scale)
     concat = (attn @ vh).transpose(1, 0, 2).reshape(1, d)
-    x1 = x[-1:] + linear(concat, p["wo"], p["bo"])
-    h2, _ = layer_norm(x1, p["ln2_g"], p["ln2_b"])
-    g, _ = gelu(linear(h2, p["w1"], p["b1"]))
-    return x1 + linear(g, p["w2"], p["b2"])
+    out, mlp_cache = _mlp_sublayer(x[-1:] + linear(concat, p["wo"], p["bo"]), p)
+    return out, (ln1_cache, h1, qh, kh, vh, attn, concat, scale, mlp_cache)
 
 
-def transformer_block_backward(dy, cache):
-    ln1_cache, attn_cache, ln2_cache, h2, m1, g, cdf, p = cache
-    grads: Params = {}
+def transformer_block_last_row_backward(dy, cache):
+    """Returns (dx, grads) for transformer_block_last_row, with dy of shape (1, d).
 
-    dg, dw2, db2 = linear_backward(dy, g, p["w2"])
-    dm1 = gelu_backward(dg, m1, cdf)
-    dh2, dw1, db1 = linear_backward(dm1, h2, p["w1"])
-    dx1, dln2_g, dln2_b = layer_norm_backward(dh2, ln2_cache)
-    dx1 = dx1 + dy  # residual
+    dx has shape (n, d): the query path and both residuals feed the last row
+    only, while keys and values feed every row through LN1.
+    """
+    ln1_cache, h1, qh, kh, vh, attn, concat, scale, mlp_cache = cache
+    n_heads, n, dh = kh.shape
+    d = n_heads * dh
+    p = mlp_cache[-1]  # the block's parameters
+    dx1, grads = _mlp_sublayer_backward(dy, mlp_cache)
 
-    da = dx1
-    dh1, attn_grads = causal_self_attention_backward(da, attn_cache)
+    dconcat, dwo, dbo = linear_backward(dx1, concat, p["wo"])
+    doh = dconcat.reshape(1, n_heads, dh).transpose(1, 0, 2)
+    dqh, dkh, dvh = _attention_heads_backward(doh, qh, kh, vh, attn, scale)
+    dx_q, dwq, dbq = linear_backward(dqh.transpose(1, 0, 2).reshape(1, d), h1[-1:], p["wq"])
+    dh1, dwk, dbk = linear_backward(dkh.transpose(1, 0, 2).reshape(n, d), h1, p["wk"])
+    dx_v, dwv, dbv = linear_backward(dvh.transpose(1, 0, 2).reshape(n, d), h1, p["wv"])
+    dh1 += dx_v
+    dh1[-1] += dx_q[0]
     dx, dln1_g, dln1_b = layer_norm_backward(dh1, ln1_cache)
-    dx = dx + dx1  # residual
+    dx[-1] += dx1[0]  # residual
 
-    grads.update(attn_grads)
-    grads.update({"w1": dw1, "b1": db1, "w2": dw2, "b2": db2,
-                  "ln1_g": dln1_g, "ln1_b": dln1_b, "ln2_g": dln2_g, "ln2_b": dln2_b})
+    grads.update({"wq": dwq, "bq": dbq, "wk": dwk, "bk": dbk, "wv": dwv, "bv": dbv,
+                  "wo": dwo, "bo": dbo, "ln1_g": dln1_g, "ln1_b": dln1_b})
     return dx, grads
 
 
@@ -323,8 +367,12 @@ TENSOR_FORMAT = "unifilter-tensors-v1"
 
 
 def save_tensors(path, tensors: Params, meta: dict | None = None) -> None:
-    """JSON checkpoint of named arrays; floats keep full repr precision."""
-    from .common import write_json_file
+    """JSON checkpoint of named arrays; floats keep full repr precision.
+
+    Written as one compact line, which the C JSON encoder handles; indented
+    output would fall back to the much slower pure-Python encoder.
+    """
+    from .common import dump_json_line
 
     obj = {
         "format": TENSOR_FORMAT,
@@ -334,7 +382,8 @@ def save_tensors(path, tensors: Params, meta: dict | None = None) -> None:
             for name, arr in tensors.items()
         },
     }
-    write_json_file(path, obj)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(dump_json_line(obj) + "\n")
 
 
 def load_tensors(path):

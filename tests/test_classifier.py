@@ -12,7 +12,6 @@ from unifilter.classifier import (
     assemble_interleaved,
     backward_score,
     forward_score,
-    infer_score,
     init_params,
     load_model,
     save_model,
@@ -21,7 +20,7 @@ from unifilter.classifier import (
 )
 from unifilter.common import DataError, child_rng
 from unifilter.encoder import EncoderConfig, adaptive_avg_pool_2d, patchify_embed, project
-from unifilter.nn import layer_norm, transformer_block
+from unifilter.nn import layer_norm, transformer_block, transformer_block_last_row
 from unifilter.packing import build_vocab, tokenize
 from unifilter.records import (
     CaptionSample,
@@ -148,7 +147,7 @@ def test_forward_matches_straight_line_recompute():
     x = np.concatenate([img_emb, p["tok_emb"][ids]])
     x = x + p["pos_emb"][: x.shape[0]]
     bp = {k[len("blocks.0."):]: v for k, v in p.items() if k.startswith("blocks.0.")}
-    x, _ = transformer_block(x, bp, TINY.n_heads)
+    x, _ = transformer_block_last_row(x, bp, TINY.n_heads)  # the last block
     h, _ = layer_norm(x, p["ln_f_g"], p["ln_f_b"])
     expected = float(h[-1] @ p["head_w"][:, 0] + p["head_b"][0])
     assert score == expected
@@ -165,19 +164,33 @@ TWO_LAYERS = ModelConfig(d=8, n_layers=2, n_heads=2, max_seq_len=32, encoder=TIN
     CaptionSample(id="full", image=_pixels(6), text=" ".join(["kettle"] * 100)),
 ], ids=["caption", "document", "one-token", "max-seq-len"])
 def test_inference_path_matches_full_forward(cfg, record):
+    """forward_score against a straight-line stack of full blocks on every row."""
     vocab = build_vocab(["a fox rests by the kettle an opening line a closing line"])
     params = init_params(cfg, len(vocab), child_rng(1, "init"))
     # larger weights than init so that rounding differences have room to show
     params = {k: v * 20.0 if v.ndim == 2 else v for k, v in params.items()}
-    model = QualityModel(config=cfg, vocab=vocab, params=params)
     asm = assemble(record, cfg, vocab, params)
-    full, _ = forward_score(asm, cfg, params)
-    assert abs(infer_score(asm, cfg, params) - full) <= 1e-12
-    assert model.score_record(record) == infer_score(asm, cfg, params)
+    score, _ = forward_score(asm, cfg, params)
+
+    x = asm.emb + params["pos_emb"][:len(asm)]
+    for i in range(cfg.n_layers):
+        pre = f"blocks.{i}."
+        bp = {k[len(pre):]: v for k, v in params.items() if k.startswith(pre)}
+        x, _ = transformer_block(x, bp, cfg.n_heads)
+    h, _ = layer_norm(x, params["ln_f_g"], params["ln_f_b"])
+    full = float(h[-1] @ params["head_w"][:, 0] + params["head_b"][0])
+    assert abs(score - full) <= 1e-12
     if record.id == "full":
         assert len(asm) == cfg.max_seq_len
     if record.id == "one-token":
         assert len(asm) == 1
+
+
+@pytest.mark.parametrize("record", [_caption(seed=4), _doc(seed=5)], ids=["caption", "document"])
+def test_score_record_is_forward_score(record):
+    model = _model()
+    asm = assemble(record, TINY, model.vocab, model.params)
+    assert model.score_record(record) == forward_score(asm, TINY, model.params)[0]
 
 
 def test_one_model_scores_both_modalities():

@@ -179,6 +179,54 @@ def test_duplicate_record_ids_exit_3_before_scoring(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def small_data(tmp_path_factory):
+    out = tmp_path_factory.mktemp("small") / "data"
+    assert main(["gen", "--out", str(out), "--levels-count", "2", "--seed", "3",
+                 "--val-fraction", "0.1"]) == 0
+    return out
+
+
+@pytest.mark.parametrize("config, field", [
+    ({**TINY_CFG, "epochs": 0}, "epochs"),
+    ({**TINY_CFG, "epochs": 2.5}, "epochs"),
+    ({**TINY_CFG, "batch_size": 0}, "batch_size"),
+    ({**TINY_CFG, "batch_size": True}, "batch_size"),
+    ({**TINY_CFG, "peak_lr": 0.0}, "peak_lr"),
+    ({**TINY_CFG, "peak_lr": -1e-3}, "peak_lr"),
+    ({**TINY_CFG, "peak_lr": float("nan")}, "peak_lr"),
+    ({**TINY_CFG, "peak_lr": float("inf")}, "peak_lr"),
+    ({**TINY_CFG, "peak_lr": "fast"}, "peak_lr"),
+    ({**TINY_CFG, "warmup_frac": 1.0}, "warmup_frac"),
+    ({**TINY_CFG, "warmup_frac": -0.1}, "warmup_frac"),
+    ({**TINY_CFG, "beta1": 1.0}, "beta1"),
+    ({**TINY_CFG, "beta2": -0.5}, "beta2"),
+    ({**TINY_CFG, "eps": 0.0}, "eps"),
+    ({**TINY_CFG, "weight_decay": -0.01}, "weight_decay"),
+    ({**TINY_CFG, "weight_decay": float("inf")}, "weight_decay"),
+    ({**TINY_CFG, "vocab_min_count": 0}, "vocab_min_count"),
+    ({**TINY_CFG, "encoder": {**TINY_CFG["encoder"], "patch_sz": 4}}, "patch_sz"),
+    ({**TINY_CFG, "encoder": [4, 8]}, "encoder"),
+    ({**TINY_CFG, "encoder": "big"}, "encoder"),
+    ([TINY_CFG], "JSON object"),
+], ids=lambda v: v if isinstance(v, str) else "")
+def test_bad_train_config_exits_3_without_a_checkpoint(tmp_path, capsys, small_data, config, field):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(config))
+    ckpt = tmp_path / "model.json"
+    capsys.readouterr()
+    rc = main(["train", "--train", str(small_data / "train.jsonl"),
+               "--val", str(small_data / "val.jsonl"), "--config", str(cfg_path),
+               "--out-checkpoint", str(ckpt)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "Traceback" not in err
+    obj = json.loads(err)
+    assert obj["error"] == "data"
+    assert field in obj["message"]
+    assert not list(tmp_path.glob("model.json*"))  # no checkpoint, no manifest
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["train", "--no-such-flag"])

@@ -26,6 +26,7 @@ from unifilter.nn import (
     transformer_block,
     transformer_block_backward,
     transformer_block_last_row,
+    transformer_block_last_row_backward,
 )
 
 GRAD_TOL = 1e-4
@@ -202,9 +203,28 @@ def test_transformer_block_last_row_matches_the_training_block(n):
     p = _block_params(rng, d)
     x = rng.normal(size=(n, d))
     full, _ = transformer_block(x, p, n_heads=2)
-    last = transformer_block_last_row(x, p, n_heads=2)
+    last, _ = transformer_block_last_row(x, p, n_heads=2)
     assert last.shape == (1, d)
     assert np.allclose(last[0], full[-1], rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 9])
+def test_transformer_block_last_row_gradients(n):
+    rng = _rng(14)
+    d = 8
+    params = _block_params(rng, d)
+    params["x"] = rng.normal(size=(n, d))
+
+    def f(p):
+        block_p = {k: v for k, v in p.items() if k != "x"}
+        y, cache = transformer_block_last_row(p["x"], block_p, n_heads=2)
+        loss = float((y ** 2).sum())
+        dx, grads = transformer_block_last_row_backward(2.0 * y, cache)
+        assert dx.shape == (n, d)
+        grads["x"] = dx
+        return loss, grads
+
+    assert grad_check(f, params) < GRAD_TOL
 
 
 def test_grad_check_detects_a_corrupted_gradient():
@@ -283,13 +303,18 @@ def test_adam_refuses_steps_past_schedule_end():
 
 def test_tensor_roundtrip_is_exact(tmp_path):
     rng = _rng(10)
-    tensors = {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=(7,))}
+    tiny = np.finfo(np.float64).smallest_subnormal
+    tensors = {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=(7,)),
+               "c": np.array([-0.0, 0.0, tiny, -tiny, 3 * tiny, np.finfo(np.float64).tiny / 3,
+                              np.finfo(np.float64).max, -1e-300])}
     path = tmp_path / "ckpt.json"
     save_tensors(path, tensors, meta={"note": "test"})
+    assert path.read_text(encoding="utf-8").count("\n") == 1  # one compact line
     back, meta = load_tensors(path)
     assert meta["note"] == "test"
     for name in tensors:
-        assert np.array_equal(back[name], tensors[name])  # bitwise via repr
+        assert back[name].shape == tensors[name].shape
+        assert back[name].tobytes() == tensors[name].tobytes()  # bitwise, sign of zero too
 
 
 def test_tensor_loader_refuses_unknown_format(tmp_path):
