@@ -1,5 +1,7 @@
 """Sequence assembly, the unified forward pass, and the training loop."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -270,6 +272,13 @@ def test_train_returns_best_validation_epoch():
 
 def test_checkpoint_roundtrip_preserves_scores(tmp_path):
     model = _model()
+    # init_params(TINY, 14, child_rng(0, "init")): keys, order and draws are pinned
+    digest = hashlib.sha256()
+    for key, value in model.params.items():
+        digest.update(key.encode())
+        digest.update(value.tobytes())
+    assert digest.hexdigest() == (
+        "88b5bd62132482bc1344d31bbde98e8bfeb145406e1a2af413fe0f698be8e2fe")
     sample = _doc(seed=2)
     path = tmp_path / "model.json"
     save_model(path, model)

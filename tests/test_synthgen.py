@@ -1,10 +1,13 @@
 """Prompt rendering, mock generation, response parsing, dataset assembly."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from unifilter.common import DataError, child_rng
-from unifilter.records import CaptionSample, DocItem, ImagePayload, InterleavedDoc
+from unifilter.records import (CaptionSample, DocItem, ImagePayload, InterleavedDoc,
+                               write_records)
 from unifilter.synthgen import (
     CAPTION_LEVEL_REQUIREMENTS,
     INTERLEAVED_LEVEL_REQUIREMENTS,
@@ -283,3 +286,25 @@ def test_mock_benchmark_is_balanced_and_deterministic():
     assert set(cells.values()) == {4}
     train2, val2 = make_mock_benchmark(4, 2, seed=11)
     assert [s.record.id for s in train] == [s.record.id for s in train2]
+
+
+def _jsonl_sha256(tmp_path, samples) -> str:
+    path = tmp_path / "split.jsonl"
+    write_records(path, samples)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_generation_bytes_are_pinned(tmp_path):
+    # criterion 2 trains on make_mock_benchmark(250, 25, seed=11): its bytes must not move
+    train, val = make_mock_benchmark(250, 25, seed=11)
+    assert _jsonl_sha256(tmp_path, train) == (
+        "bb7c14fe9836aeed1a909e321ee9374a2158870b8df84931c34bedceb037b35a")
+    assert _jsonl_sha256(tmp_path, val) == (
+        "f11250fb9f2f62aa239749e93992351cad8f8666bb8a8bc8ed67b51495ac4dfb")
+    images, docs = make_mock_sources(10, 10, seed=7)
+    train, val, _ = build_dataset(images, docs, {0: 2, 1: 2, 2: 3, 3: 3},
+                                  val_fraction=0.25, seed=5)
+    assert _jsonl_sha256(tmp_path, train) == (
+        "dd84ecd8d0a3852ed5092d06982685a0c58f981541b1742bac122fb16361c4c3")
+    assert _jsonl_sha256(tmp_path, val) == (
+        "445e950b489ecdc501d6276caa1f6afd785c3b9ce6ad42e4cce2797e354c80b0")
