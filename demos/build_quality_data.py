@@ -31,7 +31,6 @@ def main():
 
     print(f"generated {len(train)} train + {len(val)} val samples")
     print(f"requested per level: {report.requested}")
-    print(f"safety-excluded drafts: {report.safety_excluded}")
     print()
 
     print("one caption per level (image keywords in brackets):")

@@ -59,9 +59,7 @@ from .records import (
     write_records,
 )
 from .synthgen import (
-    GeneratorRequest,
     MockConfig,
-    MockGenerator,
     build_dataset,
     build_prompt,
     keyword_overlap_label,
@@ -78,14 +76,12 @@ __all__ = [
     "EncoderConfig",
     "EvalReport",
     "FilterConfig",
-    "GeneratorRequest",
     "ImagePayload",
     "InterleavedDoc",
     "KMeansConfig",
     "KMeansResult",
     "LabeledSample",
     "MockConfig",
-    "MockGenerator",
     "ModelConfig",
     "NumericError",
     "QualityModel",

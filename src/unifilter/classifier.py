@@ -28,8 +28,9 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .common import DataError, NumericError, child_rng
-from .encoder import EncoderConfig, adaptive_avg_pool_2d, patchify_embed, project, project_backward
+from .common import DataError, NumericError, check_counts, check_field, child_rng
+from .encoder import (EncoderConfig, adaptive_avg_pool_2d, init_projector, patchify_embed,
+                      project, project_backward)
 from .nn import (AdamConfig, Params, adam_init, adam_step, layer_norm, layer_norm_backward,
                  save_tensors, load_tensors, transformer_block, transformer_block_backward,
                  transformer_block_last_row, transformer_block_last_row_backward)
@@ -50,8 +51,7 @@ class ModelConfig:
     def __post_init__(self):
         if isinstance(self.encoder, dict):
             self.encoder = EncoderConfig(**self.encoder)
-        if self.n_layers < 1:
-            raise DataError(f"n_layers={self.n_layers}: the model needs at least one block")
+        check_counts(self, "d", "n_layers", "n_heads", "max_seq_len")
         if self.d % self.n_heads:
             raise DataError(f"d={self.d} not divisible by n_heads={self.n_heads}")
         if self.encoder.d != self.d:
@@ -71,21 +71,12 @@ class TrainConfig:
     vocab_min_count: int = 1
 
     def __post_init__(self):
-        for name in ("epochs", "batch_size", "vocab_min_count"):
-            _check_field(self, name, lambda v: isinstance(v, int) and v >= 1, "an integer >= 1")
+        check_counts(self, "epochs", "batch_size", "vocab_min_count")
         for name in ("peak_lr", "eps"):
-            _check_field(self, name, lambda v: v > 0, "a finite number > 0")
-        _check_field(self, "weight_decay", lambda v: v >= 0, "a finite number >= 0")
+            check_field(self, name, lambda v: v > 0, "a finite number > 0")
+        check_field(self, "weight_decay", lambda v: v >= 0, "a finite number >= 0")
         for name in ("warmup_frac", "beta1", "beta2"):
-            _check_field(self, name, lambda v: 0 <= v < 1, "a number in [0, 1)")
-
-
-def _check_field(cfg, name: str, ok, rule: str) -> None:
-    """DataError unless the field is a finite real number (not a bool) that passes ok."""
-    value = getattr(cfg, name)
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not (number and math.isfinite(value) and ok(value)):
-        raise DataError(f"{name}={value!r}: must be {rule}")
+            check_field(self, name, lambda v: 0 <= v < 1, "a number in [0, 1)")
 
 
 def init_params(cfg: ModelConfig, vocab_size: int, rng: np.random.Generator) -> Params:
@@ -113,11 +104,7 @@ def init_params(cfg: ModelConfig, vocab_size: int, rng: np.random.Generator) -> 
     p["ln_f_b"] = np.zeros(d)
     p["head_w"] = rng.normal(0.0, 0.02, size=(d, 1))
     p["head_b"] = np.zeros(1)
-    # trainable projector on top of the frozen encoder
-    p["proj_w1"] = rng.normal(0.0, 0.02, size=(cfg.encoder.d_v, d))
-    p["proj_b1"] = np.zeros(d)
-    p["proj_w2"] = rng.normal(0.0, 0.02, size=(d, d))
-    p["proj_b2"] = np.zeros(d)
+    p.update(init_projector(cfg.encoder, rng))  # trainable, on top of the frozen encoder
     return p
 
 

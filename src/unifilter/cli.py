@@ -103,15 +103,6 @@ def cmd_gen(args):
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     counts = {level: args.levels_count for level in range(4)}
-
-    if args.generator_config:
-        gen_cfg_obj = _load_json(args.generator_config)
-        generator = synthgen.RemoteGenerator(synthgen.RemoteGeneratorConfig(**gen_cfg_obj))
-        generator_desc = {"kind": "remote", **gen_cfg_obj}
-    else:
-        generator = synthgen.MockGenerator()
-        generator_desc = {"kind": "mock"}
-
     n_caps = args.caption_images if args.caption_images is not None else 4 * args.levels_count
     n_docs = args.docs if args.docs is not None else 4 * args.levels_count
     images, docs = synthgen.make_mock_sources(n_caps, n_docs, args.seed)
@@ -123,16 +114,14 @@ def cmd_gen(args):
 
     train_s, val_s, report = synthgen.build_dataset(
         images, docs, counts, nonsyn_positives=nonsyn,
-        val_fraction=args.val_fraction, seed=args.seed, generator=generator,
-        num_words=args.num_words)
+        val_fraction=args.val_fraction, seed=args.seed)
 
     write_records(out_dir / "train.jsonl", train_s)
     write_records(out_dir / "val.jsonl", val_s)
     write_json_file(out_dir / "report.json", report.to_obj())
 
     config = {"levels_count": args.levels_count, "val_fraction": args.val_fraction,
-              "num_words": args.num_words, "caption_images": n_caps, "docs": n_docs,
-              "generator": generator_desc}
+              "caption_images": n_caps, "docs": n_docs}
     inputs = {}
     if args.nonsyn_positives:
         inputs["nonsyn_positives"] = str(args.nonsyn_positives)
@@ -347,11 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--levels-count", type=int, default=50,
                    help="samples per quality level per modality")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--mock", action="store_true", default=True,
-                       help="use the built-in deterministic generator (default)")
-    group.add_argument("--generator-config", default=None,
-                       help="JSON config for a remote generator endpoint")
     p.add_argument("--val-fraction", type=float, default=0.05)
     p.add_argument("--nonsyn-positives", default=None,
                    help="caption JSONL appended as positive-level samples")
@@ -359,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="mock caption image pool size (default: exactly enough)")
     p.add_argument("--docs", type=int, default=None,
                    help="mock document image-group pool size (default: exactly enough)")
-    p.add_argument("--num-words", type=int, default=50)
 
     p = add("cluster", cmd_cluster, "cluster records and sample ids per cluster")
     p.add_argument("--embeddings-from", required=True, help="records JSONL to embed")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 
 import numpy as np
 
@@ -31,6 +32,20 @@ class SchemaError(DataError):
 
 class NumericError(Exception):
     """Non-finite values, divergent training, failed gradient checks."""
+
+
+def check_field(cfg, name: str, ok, rule: str) -> None:
+    """DataError unless the field is a finite real number (not a bool) that passes ok."""
+    value = getattr(cfg, name)
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and math.isfinite(value) and ok(value)):
+        raise DataError(f"{name}={value!r}: must be {rule}")
+
+
+def check_counts(cfg, *names: str) -> None:
+    """check_field for each name: an integer >= 1."""
+    for name in names:
+        check_field(cfg, name, lambda v: isinstance(v, int) and v >= 1, "an integer >= 1")
 
 
 # --- seeding ---------------------------------------------------------------

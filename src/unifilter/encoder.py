@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .common import DataError, child_rng
+from .common import DataError, check_counts, check_field, child_rng
 from .nn import gelu, gelu_backward, linear, linear_backward
 from .records import ImagePayload
 
@@ -30,6 +30,10 @@ class EncoderConfig:
     t: int = 4         # pooled grid side; t*t tokens per image
     d: int = 64        # projector output width, must match the model width
     seed: int = 0
+
+    def __post_init__(self):
+        check_counts(self, "patch_size", "d_v", "t", "d")
+        check_field(self, "seed", lambda v: isinstance(v, int) and v >= 0, "an integer >= 0")
 
     def tokens_per_image(self) -> int:
         return self.t * self.t

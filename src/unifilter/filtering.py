@@ -31,14 +31,10 @@ from .records import (
 
 @dataclass
 class FilterConfig:
-    fraction: float = 0.30
-    dfn_threshold: float = 0.15
     batch_size: int = 16
     workers: int = 1
 
     def __post_init__(self):
-        if not 0.0 < self.fraction <= 1.0:
-            raise DataError(f"fraction must be in (0, 1], got {self.fraction}")
         if self.batch_size < 1:
             raise DataError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.workers < 1:

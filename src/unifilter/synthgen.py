@@ -5,11 +5,13 @@ build_prompt renders the full generation prompt for either modality with the
 level's quality-requirement text substituted; responses are JSON objects
 ({topic, positive_caption, negative_caption} for captions, {image_tags,
 document} for interleaved, images referenced as <img>description</img> tags).
+The prompts and the two response parsers are the contract a real generator
+must meet; every mock response passes through the same parsers.
 
-Generators are pluggable.  The mock generator needs no network: it derives K
-pseudo-keywords per image from patch statistics (quadrant mean intensities
-hashed into per-slot word banks) and writes template text whose keyword
-overlap with the image encodes the level exactly:
+The mock generator needs no network: it derives K pseudo-keywords per image
+from patch statistics (quadrant mean intensities hashed into per-slot word
+banks) and writes template text whose keyword overlap with the image encodes
+the level exactly:
 
   positive        all K keywords present
   hard_negative   exactly one keyword swapped for a near neighbor
@@ -29,7 +31,7 @@ from __future__ import annotations
 import hashlib
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -428,60 +430,6 @@ def mock_generate_document(images: list[ImagePayload], level: int, seed: int,
     return {"image_tags": tags, "document": "\n\n".join(parts)}
 
 
-# --- generator interface ----------------------------------------------------------------
-
-
-@dataclass
-class GeneratorRequest:
-    modality: str                      # "caption" | "interleaved"
-    level: int
-    images: list[ImagePayload]
-    prompt: str
-    num_words: int = 50
-    seed: int = 0
-    donor: ImagePayload | None = None  # easy-negative keyword source, captions only
-
-
-class MockGenerator:
-    """Offline generator; responses mirror the remote JSON schema exactly."""
-
-    def __init__(self, cfg: MockConfig | None = None):
-        self.cfg = cfg or MockConfig()
-
-    def generate(self, request: GeneratorRequest) -> dict:
-        if request.modality == "caption":
-            if len(request.images) != 1:
-                raise DataError("caption generation takes exactly one image")
-            return mock_generate_caption(request.images[0], request.level, request.seed,
-                                         self.cfg, donor=request.donor)
-        if request.modality == "interleaved":
-            return mock_generate_document(request.images, request.level, request.seed, self.cfg)
-        raise DataError(f"unknown modality {request.modality!r}")
-
-
-@dataclass
-class RemoteGeneratorConfig:
-    """Wire schema for a hosted text generator; transport is not included."""
-    endpoint: str
-    model: str
-    api_key_env: str = "GENERATOR_API_KEY"
-    timeout_s: float = 60.0
-    max_attempts: int = 3
-
-
-class RemoteGenerator:
-    """Interface stub: request/response contract only, no network code."""
-
-    def __init__(self, cfg: RemoteGeneratorConfig):
-        self.cfg = cfg
-
-    def generate(self, request: GeneratorRequest) -> dict:
-        raise DataError(
-            "remote generator transport is not included in this build; "
-            "plug in a client that POSTs the prompt to "
-            f"{self.cfg.endpoint} and returns the parsed JSON object")
-
-
 # --- response parsing --------------------------------------------------------------------
 
 _IMG_TAG_RE = re.compile(r"<img>(.*?)</img>", re.DOTALL)
@@ -542,16 +490,6 @@ def parse_interleaved_response(resp: dict, images: list[ImagePayload]) -> list[D
     return items
 
 
-# --- safety scan -------------------------------------------------------------------------
-
-
-def scan_safety(text: str, predicate=None) -> bool:
-    """True when the text passes the safety hook (default: everything passes)."""
-    if predicate is None:
-        return True
-    return bool(predicate(text))
-
-
 # --- mock sources ------------------------------------------------------------------------
 
 
@@ -599,11 +537,23 @@ def make_mock_sources(n_caption_images: int, n_docs: int, seed: int,
 # --- dataset assembly ---------------------------------------------------------------------
 
 
+def _caption_sample(id: str, payload: ImagePayload, donor: ImagePayload, level: int,
+                    seed: int, cfg: MockConfig) -> LabeledSample:
+    resp = mock_generate_caption(payload, level, seed, cfg, donor=donor)
+    rec = CaptionSample(id=id, image=payload, text=parse_caption_response(resp, level))
+    return LabeledSample(record=rec, label=level, level_name=LEVEL_NAMES[level])
+
+
+def _doc_sample(id: str, group: list[ImagePayload], level: int, seed: int,
+                cfg: MockConfig) -> LabeledSample:
+    resp = mock_generate_document(group, level, seed, cfg)
+    rec = InterleavedDoc(id=id, items=parse_interleaved_response(resp, group))
+    return LabeledSample(record=rec, label=level, level_name=LEVEL_NAMES[level])
+
+
 @dataclass
 class GenReport:
     requested: dict
-    generated: dict
-    safety_excluded: int
     nonsynthetic_positives: int
     n_train: int
     n_val: int
@@ -619,86 +569,41 @@ def build_dataset(images_caption: list[ImagePayload],
                   counts_per_level: dict[int, int],
                   nonsyn_positives: list[CaptionSample] | None = None,
                   val_fraction: float = 0.05,
-                  seed: int = 0,
-                  generator=None,
-                  safety_predicate=None,
-                  num_words: int = 50,
-                  mock_cfg: MockConfig | None = None):
-    """Generate, label, scan and split a semi-synthetic quality dataset.
+                  seed: int = 0):
+    """Generate, label and split a semi-synthetic quality dataset.
 
     counts_per_level applies to each modality separately: level L consumes
     counts_per_level[L] caption images and as many document image groups.
-    Non-synthetic positives are appended with label 3 and skip the safety
-    scan (they are curated, the scan targets generated text).  Returns
+    Non-synthetic positives are appended with label 3.  Returns
     (train, val, GenReport); the split is a seeded shuffle with
     floor(val_fraction * n) validation samples, no stratification.
     """
-    mock_cfg = mock_cfg or MockConfig()
-    generator = generator or MockGenerator(mock_cfg)
+    cfg = MockConfig()
     for level in counts_per_level:
         if level not in LEVEL_NAMES:
             raise DataError(f"unknown quality level {level}")
-    need_caps = sum(counts_per_level.values())
-    need_docs = need_caps
-    if need_caps > len(images_caption):
-        raise DataError(f"need {need_caps} caption images, have {len(images_caption)}")
-    if need_docs > len(docs_interleaved):
-        raise DataError(f"need {need_docs} doc image groups, have {len(docs_interleaved)}")
+    need = sum(counts_per_level.values())
+    if need > len(images_caption):
+        raise DataError(f"need {need} caption images, have {len(images_caption)}")
+    if need > len(docs_interleaved):
+        raise DataError(f"need {need} doc image groups, have {len(docs_interleaved)}")
 
+    levels = [level for level in sorted(counts_per_level)
+              for _ in range(counts_per_level[level])]
     samples: list[LabeledSample] = []
-    excluded = 0
-    generated = {"caption": dict.fromkeys(counts_per_level, 0),
-                 "interleaved": dict.fromkeys(counts_per_level, 0)}
-
-    cap_idx = 0
-    for level in sorted(counts_per_level):
-        for _ in range(counts_per_level[level]):
-            payload = images_caption[cap_idx]
-            donor = images_caption[(cap_idx + 1) % len(images_caption)]
-            req = GeneratorRequest(
-                modality="caption", level=level, images=[payload],
-                prompt=build_prompt("caption", level, num_words),
-                num_words=num_words,
-                seed=int(child_seed(seed, "gen-cap", level, cap_idx).generate_state(1)[0]),
-                donor=donor,
-            )
-            text = parse_caption_response(generator.generate(req), level)
-            cap_idx += 1
-            if not scan_safety(text, safety_predicate):
-                excluded += 1
-                continue
-            rec = CaptionSample(id=f"cap-{len(samples):06d}", image=payload, text=text)
-            samples.append(LabeledSample(record=rec, label=level,
-                                         level_name=LEVEL_NAMES[level]))
-            generated["caption"][level] += 1
-
-    doc_idx = 0
-    for level in sorted(counts_per_level):
-        for _ in range(counts_per_level[level]):
-            group = docs_interleaved[doc_idx]
-            req = GeneratorRequest(
-                modality="interleaved", level=level, images=list(group),
-                prompt=build_prompt("interleaved", level, num_words),
-                num_words=num_words,
-                seed=int(child_seed(seed, "gen-doc", level, doc_idx).generate_state(1)[0]),
-            )
-            items = parse_interleaved_response(generator.generate(req), list(group))
-            doc_idx += 1
-            doc_text = " ".join(it.text for it in items if it.kind == "text")
-            if not scan_safety(doc_text, safety_predicate):
-                excluded += 1
-                continue
-            rec = InterleavedDoc(id=f"doc-{len(samples):06d}", items=items)
-            samples.append(LabeledSample(record=rec, label=level,
-                                         level_name=LEVEL_NAMES[level]))
-            generated["interleaved"][level] += 1
-
-    n_nonsyn = 0
+    for i, level in enumerate(levels):
+        sub_seed = int(child_seed(seed, "gen-cap", level, i).generate_state(1)[0])
+        samples.append(_caption_sample(
+            f"cap-{len(samples):06d}", images_caption[i],
+            images_caption[(i + 1) % len(images_caption)], level, sub_seed, cfg))
+    for i, level in enumerate(levels):
+        sub_seed = int(child_seed(seed, "gen-doc", level, i).generate_state(1)[0])
+        samples.append(_doc_sample(f"doc-{len(samples):06d}", list(docs_interleaved[i]),
+                                   level, sub_seed, cfg))
     for cap in nonsyn_positives or []:
         samples.append(LabeledSample(record=cap, label=POSITIVE,
                                      level_name=LEVEL_NAMES[POSITIVE],
                                      provenance="nonsynthetic_positive"))
-        n_nonsyn += 1
 
     order = child_rng(seed, "split").permutation(len(samples))
     n_val = int(math.floor(val_fraction * len(samples)))
@@ -706,10 +611,7 @@ def build_dataset(images_caption: list[ImagePayload],
     train = [samples[i] for i in order[n_val:]]
     report = GenReport(
         requested={LEVEL_NAMES[k]: v for k, v in sorted(counts_per_level.items())},
-        generated={m: {LEVEL_NAMES[k]: v for k, v in sorted(d.items())}
-                   for m, d in generated.items()},
-        safety_excluded=excluded,
-        nonsynthetic_positives=n_nonsyn,
+        nonsynthetic_positives=len(nonsyn_positives or []),
         n_train=len(train),
         n_val=len(val),
         val_fraction=val_fraction,
@@ -718,43 +620,31 @@ def build_dataset(images_caption: list[ImagePayload],
     return train, val, report
 
 
-def make_mock_benchmark(train_per_cell: int, val_per_cell: int, seed: int,
-                        mock_cfg: MockConfig | None = None):
+def make_mock_benchmark(train_per_cell: int, val_per_cell: int, seed: int):
     """Balanced mock dataset: (level x modality) cells of equal size.
 
     Returns (train, val) with train_per_cell and val_per_cell samples in each
     of the 8 cells, shuffled within each split.  Sources are generated
     internally from the seed.
     """
-    mock_cfg = mock_cfg or MockConfig()
+    cfg = MockConfig()
     per_cell = train_per_cell + val_per_cell
-    images, docs = make_mock_sources(per_cell * 4, per_cell * 4, seed, mock_cfg)
-    generator = MockGenerator(mock_cfg)
+    images, docs = make_mock_sources(per_cell * 4, per_cell * 4, seed, cfg)
 
     train: list[LabeledSample] = []
     val: list[LabeledSample] = []
     counter = 0
     for level in sorted(LEVEL_NAMES):
         for i in range(per_cell):
-            payload = images[level * per_cell + i]
-            donor = images[(level * per_cell + i + 1) % len(images)]
-            req = GeneratorRequest(
-                modality="caption", level=level, images=[payload],
-                prompt=build_prompt("caption", level), seed=seed * 1000003 + counter,
-                donor=donor)
-            text = parse_caption_response(generator.generate(req), level)
-            rec = CaptionSample(id=f"cap-{counter:06d}", image=payload, text=text)
-            sample = LabeledSample(record=rec, label=level, level_name=LEVEL_NAMES[level])
+            j = level * per_cell + i
+            sample = _caption_sample(f"cap-{counter:06d}", images[j],
+                                     images[(j + 1) % len(images)], level,
+                                     seed * 1000003 + counter, cfg)
             (val if i < val_per_cell else train).append(sample)
             counter += 1
         for i in range(per_cell):
-            group = docs[level * per_cell + i]
-            req = GeneratorRequest(
-                modality="interleaved", level=level, images=list(group),
-                prompt=build_prompt("interleaved", level), seed=seed * 1000003 + counter)
-            items = parse_interleaved_response(generator.generate(req), list(group))
-            rec = InterleavedDoc(id=f"doc-{counter:06d}", items=items)
-            sample = LabeledSample(record=rec, label=level, level_name=LEVEL_NAMES[level])
+            sample = _doc_sample(f"doc-{counter:06d}", list(docs[level * per_cell + i]),
+                                 level, seed * 1000003 + counter, cfg)
             (val if i < val_per_cell else train).append(sample)
             counter += 1
     child_rng(seed, "bench-shuffle-train").shuffle(train)

@@ -206,6 +206,15 @@ def small_data(tmp_path_factory):
     ({**TINY_CFG, "weight_decay": float("inf")}, "weight_decay"),
     ({**TINY_CFG, "vocab_min_count": 0}, "vocab_min_count"),
     ({**TINY_CFG, "encoder": {**TINY_CFG["encoder"], "patch_sz": 4}}, "patch_sz"),
+    ({**TINY_CFG, "d": "64"}, "d="),
+    ({**TINY_CFG, "n_heads": 0}, "n_heads"),
+    ({**TINY_CFG, "max_seq_len": 0}, "max_seq_len"),
+    ({**TINY_CFG, "n_layers": 1.5}, "n_layers"),
+    ({**TINY_CFG, "encoder": {**TINY_CFG["encoder"], "t": 0}}, "t="),
+    ({**TINY_CFG, "encoder": {**TINY_CFG["encoder"], "patch_size": 0}}, "patch_size"),
+    ({**TINY_CFG, "encoder": {**TINY_CFG["encoder"], "d_v": "8"}}, "d_v"),
+    ({**TINY_CFG, "encoder": {**TINY_CFG["encoder"], "seed": 0.5}}, "seed"),
+    ({**TINY_CFG, "encoder": {**TINY_CFG["encoder"], "seed": -1}}, "seed"),
     ({**TINY_CFG, "encoder": [4, 8]}, "encoder"),
     ({**TINY_CFG, "encoder": "big"}, "encoder"),
     ([TINY_CFG], "JSON object"),
@@ -234,6 +243,15 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_gen_removed_generator_flags_are_usage_errors(tmp_path):
+    # the mock is the only generator: no remote config, no --mock, no --num-words
+    for extra in (["--generator-config", "x.json"], ["--mock"], ["--num-words", "50"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--out", str(tmp_path / "data"), *extra])
+        assert exc.value.code == 2, extra
+    assert not (tmp_path / "data").exists()
 
 
 def test_missing_input_exits_3(tmp_path, capsys):

@@ -395,10 +395,11 @@ def test_score_corpus_batch_and_worker_invariance():
 
 
 def test_filter_config_validation():
-    with pytest.raises(DataError):
-        FilterConfig(fraction=0.0)
-    with pytest.raises(DataError):
-        FilterConfig(fraction=1.2)
+    scores = _scores([0.1, 0.2, 0.3])
+    with pytest.raises(DataError, match="fraction"):
+        select_top_fraction(scores, _records_for(scores), 0.0)
+    with pytest.raises(DataError, match="fraction"):
+        select_top_fraction(scores, _records_for(scores), 1.2)
     with pytest.raises(DataError):
         FilterConfig(batch_size=0)
     with pytest.raises(DataError):

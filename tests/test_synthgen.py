@@ -11,11 +11,7 @@ from unifilter.records import (CaptionSample, DocItem, ImagePayload, Interleaved
 from unifilter.synthgen import (
     CAPTION_LEVEL_REQUIREMENTS,
     INTERLEAVED_LEVEL_REQUIREMENTS,
-    GeneratorRequest,
     MockConfig,
-    MockGenerator,
-    RemoteGenerator,
-    RemoteGeneratorConfig,
     build_dataset,
     build_prompt,
     derive_keywords,
@@ -27,7 +23,6 @@ from unifilter.synthgen import (
     parse_caption_response,
     parse_interleaved_response,
     render_mock_image,
-    scan_safety,
 )
 
 LEVELS = [0, 1, 2, 3]
@@ -185,32 +180,6 @@ def test_parse_interleaved_rejects_bad_tag_usage():
     with pytest.raises(DataError, match="not unique"):
         parse_interleaved_response(
             {"image_tags": ["a", "a"], "document": "<img>a</img>"}, images + images)
-
-
-def test_remote_generator_is_contract_only():
-    gen = RemoteGenerator(RemoteGeneratorConfig(endpoint="https://example/api", model="m"))
-    req = GeneratorRequest(modality="caption", level=0, images=[_image([0, 0, 0, 0])],
-                           prompt="p")
-    with pytest.raises(DataError, match="transport"):
-        gen.generate(req)
-
-
-# --- safety hook -------------------------------------------------------------------
-
-
-def test_safety_scan_default_passes_and_predicate_filters():
-    assert scan_safety("anything") is True
-    assert scan_safety("bad word here", predicate=lambda t: "bad" not in t) is False
-
-
-def test_build_dataset_applies_safety_predicate():
-    images, docs = make_mock_sources(8, 8, seed=0)
-    counts = {0: 2, 3: 2}
-    train, val, report = build_dataset(
-        images, docs, counts, seed=0,
-        safety_predicate=lambda text: False)  # everything excluded
-    assert report.safety_excluded == 2 * sum(counts.values())  # both modalities
-    assert not train and not val
 
 
 # --- dataset assembly ----------------------------------------------------------------
