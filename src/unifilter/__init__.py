@@ -59,67 +59,9 @@ from .records import (
     write_records,
 )
 from .synthgen import (
-    MockConfig,
     build_dataset,
     build_prompt,
     keyword_overlap_label,
     make_mock_benchmark,
     make_mock_sources,
 )
-
-__all__ = [
-    "CaptionSample",
-    "CorpusStats",
-    "DataError",
-    "DocItem",
-    "EmbeddingMatrix",
-    "EncoderConfig",
-    "EvalReport",
-    "FilterConfig",
-    "ImagePayload",
-    "InterleavedDoc",
-    "KMeansConfig",
-    "KMeansResult",
-    "LabeledSample",
-    "MockConfig",
-    "ModelConfig",
-    "NumericError",
-    "QualityModel",
-    "SampleConfig",
-    "SchemaError",
-    "ScoredRecord",
-    "TrainConfig",
-    "Vocab",
-    "__version__",
-    "adaptive_avg_pool_2d",
-    "build_dataset",
-    "build_prompt",
-    "build_vocab",
-    "child_rng",
-    "corpus_stats",
-    "dfn_filter_corpus",
-    "dfn_filter_doc",
-    "doc_embedding",
-    "evaluate",
-    "flatten_doc",
-    "image_embedding",
-    "image_tokens",
-    "keyword_overlap_label",
-    "kmeans",
-    "load_model",
-    "make_mock_benchmark",
-    "make_mock_sources",
-    "pack",
-    "quantize_score",
-    "read_records",
-    "sample_per_cluster",
-    "save_model",
-    "score_corpus",
-    "select_top_fraction",
-    "threshold_for_fraction",
-    "throughput_bench",
-    "tokenize",
-    "train",
-    "write_packed",
-    "write_records",
-]

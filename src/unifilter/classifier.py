@@ -3,8 +3,8 @@
 One model scores both modalities.  A record is assembled into a single
 embedding sequence: image payloads run through the frozen patch encoder,
 adaptive pooling and the trainable projector (t*t tokens each); text runs
-through the token embedding table.  Captions are image tokens first, then
-caption tokens; interleaved documents keep their original item order.  A
+through the token embedding table.  One assembler keeps item order for
+both modalities: a caption is the one-image document [image, text].  A
 causal transformer reads the sequence and a d x 1 head on the last position
 emits one raw quality score (no language-model head anywhere).  Training
 minimizes MSE against the 0..3 level labels and keeps the epoch checkpoint
@@ -35,7 +35,7 @@ from .nn import (AdamConfig, Params, adam_init, adam_step, layer_norm, layer_nor
                  save_tensors, load_tensors, transformer_block, transformer_block_backward,
                  transformer_block_last_row, transformer_block_last_row_backward)
 from .packing import Vocab, build_vocab, tokenize
-from .records import CaptionSample, InterleavedDoc, LabeledSample
+from .records import CaptionSample, DocItem, InterleavedDoc, LabeledSample, unwrap
 
 CHECKPOINT_KIND = "quality-model"
 
@@ -128,101 +128,68 @@ class AssembledSequence:
         return self.emb.shape[0]
 
 
-def _pooled_vectors(payload, enc_cfg: EncoderConfig, key=None, pooled_cache=None):
-    if pooled_cache is not None and key is not None and key in pooled_cache:
+def _pooled_vectors(payload, enc_cfg: EncoderConfig, key: str, pooled_cache):
+    if pooled_cache is not None and key in pooled_cache:
         return pooled_cache[key]
-    grid = patchify_embed(payload, enc_cfg)
-    pooled = adaptive_avg_pool_2d(grid, enc_cfg.t)
-    if pooled_cache is not None and key is not None:
+    pooled = adaptive_avg_pool_2d(patchify_embed(payload, enc_cfg), enc_cfg.t)
+    if pooled_cache is not None:
         pooled_cache[key] = pooled
     return pooled
 
 
-def assemble_caption(sample: CaptionSample, cfg: ModelConfig, vocab: Vocab, params: Params,
-                     pooled_cache=None) -> AssembledSequence:
-    """Image tokens first, caption tokens after, truncated to max_seq_len."""
-    if not sample.text.strip():
-        raise DataError(f"caption {sample.id!r} has empty text")
-    t2 = cfg.encoder.tokens_per_image()
-    if t2 > cfg.max_seq_len:
-        raise DataError(f"record {sample.id!r}: {t2} image tokens exceed max_seq_len {cfg.max_seq_len}")
-    pooled = _pooled_vectors(sample.image, cfg.encoder, f"{sample.id}#0", pooled_cache)
-    img_emb, proj_cache = project(pooled, params)
-    ids = tokenize(sample.text, vocab)[: cfg.max_seq_len - t2]
-    emb = np.concatenate([img_emb, params["tok_emb"][ids]]) if ids else img_emb
-    return AssembledSequence(
-        emb=emb,
-        text_positions=list(range(t2, t2 + len(ids))),
-        text_ids=list(ids),
-        image_blocks=[(0, proj_cache)],
-    )
+def assemble(record, cfg: ModelConfig, vocab: Vocab, params: Params,
+             pooled_cache=None) -> AssembledSequence:
+    """Original item order, one projector run per image, no separator tokens.
 
-
-def assemble_interleaved(doc: InterleavedDoc, cfg: ModelConfig, vocab: Vocab, params: Params,
-                         pooled_cache=None) -> AssembledSequence:
-    """Original item order, one projector run per image, no separator tokens."""
+    A caption is the one-image document [image, text].  Text is truncated
+    from the right, document-wide, until the sequence fits max_seq_len.
+    """
+    record = unwrap(record)
+    if isinstance(record, CaptionSample):
+        if not record.text.strip():
+            raise DataError(f"caption {record.id!r} has empty text")
+        items = [DocItem(kind="image", image=record.image),
+                 DocItem(kind="text", text=record.text)]
+    elif isinstance(record, InterleavedDoc):
+        items = record.items
+    else:
+        raise DataError(f"cannot assemble record of type {type(record).__name__}")
     t2 = cfg.encoder.tokens_per_image()
-    n_images = len(doc.images())
+    n_images = sum(1 for item in items if item.kind == "image")
     if n_images * t2 > cfg.max_seq_len:
         raise DataError(
-            f"record {doc.id!r}: {n_images * t2} image tokens exceed max_seq_len {cfg.max_seq_len}")
+            f"record {record.id!r}: {n_images * t2} image tokens exceed max_seq_len {cfg.max_seq_len}")
 
-    # per-item token id lists; text gets truncated from the right, doc-wide
-    parts: list[tuple] = []
-    total_text = 0
-    img_idx = 0
-    for item in doc.items:
-        if item.kind == "text":
-            ids = tokenize(item.text, vocab)
-            parts.append(("text", ids))
-            total_text += len(ids)
-        else:
-            parts.append(("image", item.image, f"{doc.id}#{img_idx}"))
-            img_idx += 1
-    budget = cfg.max_seq_len - n_images * t2
-    drop = total_text - budget
-    if drop > 0:
-        for i in range(len(parts) - 1, -1, -1):
-            if drop <= 0:
-                break
-            if parts[i][0] != "text":
-                continue
-            ids = parts[i][1]
+    # token ids per text item (None for an image), cut from the last text backwards
+    item_ids = [tokenize(item.text, vocab) if item.kind == "text" else None for item in items]
+    drop = sum(len(ids) for ids in item_ids if ids is not None) - (cfg.max_seq_len - n_images * t2)
+    for i in range(len(item_ids) - 1, -1, -1):
+        if drop <= 0:
+            break
+        ids = item_ids[i]
+        if ids is not None:
             cut = min(drop, len(ids))
-            parts[i] = ("text", ids[: len(ids) - cut])
+            item_ids[i] = ids[: len(ids) - cut]
             drop -= cut
 
     chunks, text_positions, text_ids, image_blocks = [], [], [], []
     pos = 0
-    for part in parts:
-        if part[0] == "text":
-            ids = part[1]
-            if not ids:
-                continue
+    for item, ids in zip(items, item_ids):
+        if ids is None:
+            key = f"{record.id}#{len(image_blocks)}"
+            img_emb, proj_cache = project(
+                _pooled_vectors(item.image, cfg.encoder, key, pooled_cache), params)
+            chunks.append(img_emb)
+            image_blocks.append((pos, proj_cache))
+            pos += t2
+        elif ids:
             chunks.append(params["tok_emb"][ids])
             text_positions.extend(range(pos, pos + len(ids)))
             text_ids.extend(ids)
             pos += len(ids)
-        else:
-            _, payload, key = part
-            pooled = _pooled_vectors(payload, cfg.encoder, key, pooled_cache)
-            img_emb, proj_cache = project(pooled, params)
-            chunks.append(img_emb)
-            image_blocks.append((pos, proj_cache))
-            pos += t2
     emb = np.concatenate(chunks) if chunks else np.zeros((0, cfg.d))
     return AssembledSequence(emb=emb, text_positions=text_positions, text_ids=text_ids,
                              image_blocks=image_blocks)
-
-
-def assemble(record, cfg: ModelConfig, vocab: Vocab, params: Params, pooled_cache=None):
-    if isinstance(record, LabeledSample):
-        record = record.record
-    if isinstance(record, CaptionSample):
-        return assemble_caption(record, cfg, vocab, params, pooled_cache)
-    if isinstance(record, InterleavedDoc):
-        return assemble_interleaved(record, cfg, vocab, params, pooled_cache)
-    raise DataError(f"cannot assemble record of type {type(record).__name__}")
 
 
 # --- forward / backward ----------------------------------------------------------

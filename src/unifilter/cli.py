@@ -16,19 +16,15 @@ import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import clustering, filtering, metrics, synthgen
 from .classifier import ModelConfig, TrainConfig, load_model, save_model, train
-from .common import DataError, NumericError, __version__, write_json_file
+from .common import DataError, NumericError, __version__, dump_json_line, write_json_file
 from .encoder import EncoderConfig
 from .filtering import FilterConfig
 from .packing import Vocab, pack, write_packed
-from .records import (
-    CaptionSample,
-    InterleavedDoc,
-    LabeledSample,
-    read_records,
-    write_records,
-)
+from .records import CaptionSample, InterleavedDoc, read_records, unwrap, write_records
 
 THREADS_ENV = "UNIFILTER_THREADS"
 
@@ -80,9 +76,19 @@ def _load_json(path) -> dict:
 
 def _read_all(path, kind: str) -> list:
     try:
-        return list(read_records(path, kind, strict=True))
+        return list(read_records(path, kind))
     except FileNotFoundError:
         raise DataError(f"missing input file: {path}")
+
+
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
+    return value
 
 
 def _csv_ints(text: str) -> list[int]:
@@ -101,7 +107,6 @@ def _csv_ints(text: str) -> list[int]:
 
 def cmd_gen(args):
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     counts = {level: args.levels_count for level in range(4)}
     n_caps = args.caption_images if args.caption_images is not None else 4 * args.levels_count
     n_docs = args.docs if args.docs is not None else 4 * args.levels_count
@@ -116,6 +121,7 @@ def cmd_gen(args):
         images, docs, counts, nonsyn_positives=nonsyn,
         val_fraction=args.val_fraction, seed=args.seed)
 
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_records(out_dir / "train.jsonl", train_s)
     write_records(out_dir / "val.jsonl", val_s)
     write_json_file(out_dir / "report.json", report.to_obj())
@@ -131,25 +137,22 @@ def cmd_gen(args):
 
 
 def cmd_cluster(args):
+    kcfg = clustering.KMeansConfig(k=args.k, seed=args.seed)
+    scfg = clustering.SampleConfig(per_cluster=args.per_cluster, seed=args.seed)
     records = _read_all(args.embeddings_from, "auto")
     if not records:
         raise DataError(f"{args.embeddings_from}: no records to cluster")
     enc_cfg = EncoderConfig()
     ids, vecs = [], []
-    for rec in records:
-        raw = rec.record if isinstance(rec, LabeledSample) else rec
-        ids.append(raw.id)
-        if isinstance(raw, InterleavedDoc):
-            vecs.append(clustering.doc_embedding(raw, enc_cfg))
+    for rec in map(unwrap, records):
+        ids.append(rec.id)
+        if isinstance(rec, InterleavedDoc):
+            vecs.append(clustering.doc_embedding(rec, enc_cfg))
         else:
-            vecs.append(clustering.image_embedding(raw.image, enc_cfg))
-    import numpy as np
-
+            vecs.append(clustering.image_embedding(rec.image, enc_cfg))
     matrix = clustering.EmbeddingMatrix(ids=ids, vecs=np.stack(vecs))
-    result = clustering.kmeans(matrix, clustering.KMeansConfig(k=args.k, seed=args.seed))
-    selected = clustering.sample_per_cluster(
-        ids, result.assignments,
-        clustering.SampleConfig(per_cluster=args.per_cluster, seed=args.seed))
+    result = clustering.kmeans(matrix, kcfg)
+    selected = clustering.sample_per_cluster(ids, result.assignments, scfg)
 
     write_json_file(args.out, {
         "k": args.k,
@@ -194,8 +197,8 @@ def cmd_train(args):
     mcfg = ModelConfig(**model_fields)
     tcfg = TrainConfig(**cfg_obj)
 
-    train_s = [r for r in _read_all(args.train, "labeled")]
-    val_s = [r for r in _read_all(args.val, "labeled")]
+    train_s = _read_all(args.train, "labeled")
+    val_s = _read_all(args.val, "labeled")
     model, history = train(train_s, val_s, mcfg, tcfg, args.seed)
     save_model(args.out_checkpoint, model, extra_meta={"history": history})
     vocab_path = Path(args.out_checkpoint).with_name("vocab.json")
@@ -212,7 +215,7 @@ def cmd_train(args):
 
 def cmd_eval(args):
     model = load_model(args.checkpoint)
-    val_s = [r for r in _read_all(args.val, "labeled")]
+    val_s = _read_all(args.val, "labeled")
     if not val_s:
         raise DataError(f"{args.val}: no labeled records")
     pairs = [(s.label, metrics.quantize_score(model.score_record(s.record)))
@@ -250,11 +253,11 @@ def _sidecar_rejects(out) -> Path:
 def _write_rejects(path, rejects: list[dict]):
     with open(path, "w", encoding="utf-8") as fh:
         for rej in rejects:
-            fh.write(json.dumps(rej, ensure_ascii=False, separators=(",", ":")) + "\n")
+            fh.write(dump_json_line(rej) + "\n")
 
 
 def cmd_filter(args):
-    scores = [s for s in _read_all(args.scores, "scored")]
+    scores = _read_all(args.scores, "scored")
     records = _read_all(getattr(args, "in"), "auto")
     kept = filtering.select_top_fraction(scores, records, args.fraction)
     write_records(args.out, kept)
@@ -265,8 +268,7 @@ def cmd_filter(args):
 
 
 def cmd_dfn_filter(args):
-    records = [r.record if isinstance(r, LabeledSample) else r
-               for r in _read_all(getattr(args, "in"), "auto")]
+    records = [unwrap(r) for r in _read_all(getattr(args, "in"), "auto")]
     bad = next((r for r in records if not isinstance(r, InterleavedDoc)), None)
     if bad is not None:
         raise DataError(f"record {bad.id!r} is not an interleaved document")
@@ -281,8 +283,7 @@ def cmd_dfn_filter(args):
 
 
 def cmd_pack(args):
-    records = _read_all(getattr(args, "in"), "auto")
-    records = [r.record if isinstance(r, LabeledSample) else r for r in records]
+    records = [unwrap(r) for r in _read_all(getattr(args, "in"), "auto")]
     vocab = Vocab.load(args.vocab)
     seqs = pack(records, args.context_len, vocab, args.t,
                 caption_chunk_marker=args.caption_chunk_marker)
@@ -328,8 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, fn, help_text):
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(fn=fn, primary_out=None)
-        p.add_argument("--seed", type=int, default=0)
+        p.set_defaults(fn=fn)
+        p.add_argument("--seed", type=_seed, default=0)
         return p
 
     p = add("gen", cmd_gen, "generate a labeled semi-synthetic quality dataset")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .common import DataError, child_rng
+from .common import DataError, check_counts, check_field, child_rng
 from .encoder import EncoderConfig, patchify_embed
 from .records import ImagePayload, InterleavedDoc
 
@@ -53,11 +53,19 @@ class EmbeddingMatrix:
             raise DataError(f"{len(self.ids)} ids for {self.vecs.shape[0]} embedding rows")
 
 
+def _check_seed(cfg) -> None:
+    check_field(cfg, "seed", lambda v: isinstance(v, int) and v >= 0, "an integer >= 0")
+
+
 @dataclass
 class KMeansConfig:
     k: int
     max_iters: int = 100
     seed: int = 0
+
+    def __post_init__(self):
+        check_counts(self, "k", "max_iters")
+        _check_seed(self)
 
 
 @dataclass
@@ -141,6 +149,10 @@ def kmeans(matrix: EmbeddingMatrix, cfg: KMeansConfig) -> KMeansResult:
 class SampleConfig:
     per_cluster: int = 4
     seed: int = 0
+
+    def __post_init__(self):
+        check_counts(self, "per_cluster")
+        _check_seed(self)
 
 
 def sample_per_cluster(ids: list[str], assignments: np.ndarray, cfg: SampleConfig) -> list[str]:

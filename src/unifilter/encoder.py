@@ -15,6 +15,7 @@ boundaries, and reduce to plain block averaging whenever t divides H and W.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -46,19 +47,18 @@ class PatchGrid:
     vecs: np.ndarray  # (h, w, d_v)
 
 
-# frozen patch-embedding weights are pure functions of (seed, patch, d_v, channels)
-_embed_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+@cache
+def _frozen_embed_weights(seed: int, patch_size: int, d_v: int, channels: int):
+    rng = child_rng(seed, "patch_embed", channels)
+    d_in = channels * patch_size * patch_size
+    w = rng.normal(0.0, 1.0 / np.sqrt(d_in), size=(d_in, d_v))
+    b = rng.normal(0.0, 0.5, size=(d_v,))
+    return w, b
 
 
 def patch_embed_weights(cfg: EncoderConfig, channels: int):
-    key = (cfg.seed, cfg.patch_size, cfg.d_v, channels)
-    if key not in _embed_cache:
-        rng = child_rng(cfg.seed, "patch_embed", channels)
-        d_in = channels * cfg.patch_size * cfg.patch_size
-        w = rng.normal(0.0, 1.0 / np.sqrt(d_in), size=(d_in, cfg.d_v))
-        b = rng.normal(0.0, 0.5, size=(cfg.d_v,))
-        _embed_cache[key] = (w, b)
-    return _embed_cache[key]
+    """Frozen patch-embedding weights, a pure function of (seed, patch, d_v, channels)."""
+    return _frozen_embed_weights(cfg.seed, cfg.patch_size, cfg.d_v, channels)
 
 
 def patchify_embed(payload: ImagePayload, cfg: EncoderConfig) -> PatchGrid:

@@ -3,8 +3,7 @@
 The production path after training: score every record with the quality
 model, keep the top fraction by score, or run the similarity-threshold
 baseline that drops images instead of documents.  Everything here is exact
-two-pass work at desk scale; a streaming quantile sketch is a documented
-extension point, not an implementation.
+two-pass work at desk scale.
 """
 
 from __future__ import annotations
@@ -14,6 +13,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
+from functools import cache
 
 import numpy as np
 
@@ -24,8 +24,8 @@ from .records import (
     CaptionSample,
     ImagePayload,
     InterleavedDoc,
-    LabeledSample,
     ScoredRecord,
+    unwrap,
 )
 
 
@@ -39,10 +39,6 @@ class FilterConfig:
             raise DataError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.workers < 1:
             raise DataError(f"workers must be >= 1, got {self.workers}")
-
-
-def _unwrap(record):
-    return record.record if isinstance(record, LabeledSample) else record
 
 
 def _modality(record) -> str:
@@ -63,7 +59,7 @@ def score_corpus(records: list, model, cfg: FilterConfig | None = None,
     cfg = cfg or FilterConfig()
     seen: set[str] = set()
     for rec in records:
-        rid = _unwrap(rec).id
+        rid = unwrap(rec).id
         if rid in seen:
             raise DataError(f"duplicate record id {rid!r}")
         seen.add(rid)
@@ -71,7 +67,7 @@ def score_corpus(records: list, model, cfg: FilterConfig | None = None,
     def score_batch(batch: list[tuple[int, object]]):
         out = []
         for pos, rec in batch:
-            raw = _unwrap(rec)
+            raw = unwrap(rec)
             try:
                 score = model.score_record(raw)
             except DataError as exc:
@@ -129,7 +125,7 @@ def select_top_fraction(scores: list[ScoredRecord], records: list,
         if s.id in by_id:
             raise DataError(f"duplicate score for id {s.id!r}")
         by_id[s.id] = s.score
-    record_ids = [_unwrap(r).id for r in records]
+    record_ids = [unwrap(r).id for r in records]
     missing = [rid for rid in record_ids if rid not in by_id]
     if missing:
         raise DataError(f"no score for record id {missing[0]!r}")
@@ -139,7 +135,7 @@ def select_top_fraction(scores: list[ScoredRecord], records: list,
 
     m = _retain_count(len(records), fraction)
     keep = set(_ranked_ids(scores)[:m])
-    return [r for r in records if _unwrap(r).id in keep]
+    return [r for r in records if unwrap(r).id in keep]
 
 
 def threshold_for_fraction(scores: list[ScoredRecord], fraction: float) -> float:
@@ -176,7 +172,9 @@ def hashed_text_embedding(text: str, dim: int = 64):
     return vec / norm
 
 
-_DFN_PROJ_CACHE: dict[tuple[int, int], np.ndarray] = {}
+@cache
+def _dfn_projection(d_in: int, dim: int) -> np.ndarray:
+    return child_rng(0, "dfn-image-proj", d_in, dim).normal(0.0, 1.0, size=(d_in, dim))
 
 
 def dfn_image_embedding(payload: ImagePayload, dim: int = 64,
@@ -186,11 +184,7 @@ def dfn_image_embedding(payload: ImagePayload, dim: int = 64,
     enc_cfg = enc_cfg or EncoderConfig()
     grid = patchify_embed(payload, enc_cfg)
     mean_vec = grid.vecs.reshape(-1, grid.vecs.shape[2]).mean(axis=0)
-    key = (mean_vec.shape[0], dim)
-    if key not in _DFN_PROJ_CACHE:
-        rng = child_rng(0, "dfn-image-proj", *key)
-        _DFN_PROJ_CACHE[key] = rng.normal(0.0, 1.0, size=key)
-    vec = mean_vec @ _DFN_PROJ_CACHE[key]
+    vec = mean_vec @ _dfn_projection(mean_vec.shape[0], dim)
     norm = float(np.linalg.norm(vec))
     if norm == 0.0:
         return None
@@ -271,7 +265,7 @@ class CorpusStats:
 
 def _record_counts(record) -> tuple[int, int]:
     """(n_images, n_words) for a caption sample or interleaved doc."""
-    raw = _unwrap(record)
+    raw = unwrap(record)
     if isinstance(raw, CaptionSample):
         return 1, len(raw.text.split())
     if isinstance(raw, InterleavedDoc):

@@ -20,7 +20,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .common import DataError, write_json_file, read_json_file
+from .common import DataError, dump_json_line, read_json_file, write_json_file
 from .records import CaptionSample, InterleavedDoc
 
 PAD_ID = 0
@@ -30,9 +30,6 @@ IMAGE_PLACEHOLDER_ID = 3
 RESERVED = {"pad": PAD_ID, "unk": UNK_ID, "end_of_chunk": END_OF_CHUNK_ID,
             "image_placeholder": IMAGE_PLACEHOLDER_ID}
 N_RESERVED = 4
-
-_RESERVED_TEXT = {PAD_ID: "", UNK_ID: "<unk>", END_OF_CHUNK_ID: "<|endofchunk|>",
-                  IMAGE_PLACEHOLDER_ID: "<image>"}
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]", re.UNICODE)
 
@@ -56,14 +53,6 @@ class Vocab:
 
     def id_of(self, word: str) -> int:
         return self._index.get(word, UNK_ID)
-
-    def word_of(self, tid: int) -> str:
-        if tid in _RESERVED_TEXT:
-            return _RESERVED_TEXT[tid]
-        i = tid - N_RESERVED
-        if 0 <= i < len(self.words):
-            return self.words[i]
-        raise DataError(f"token id {tid} outside vocab of size {len(self)}")
 
     def save(self, path):
         write_json_file(path, {"format": VOCAB_FORMAT, "reserved": RESERVED, "words": self.words})
@@ -90,16 +79,6 @@ def build_vocab(texts, min_count: int = 1) -> Vocab:
 
 def tokenize(text: str, vocab: Vocab) -> list[int]:
     return [vocab.id_of(w) for w in tokenize_words(text)]
-
-
-def detokenize(ids, vocab: Vocab) -> str:
-    """Inverse up to whitespace normalization; pads vanish, OOV becomes <unk>."""
-    parts = []
-    for tid in ids:
-        w = vocab.word_of(tid)
-        if w:
-            parts.append(w)
-    return " ".join(parts)
 
 
 # --- flattening -----------------------------------------------------------------
@@ -184,6 +163,8 @@ def pack(records, context_len: int, vocab: Vocab, t: int,
     Image runs never split across sequences; the tail of a sequence is padded
     when a run does not fit, and the final partial sequence is padded too.
     """
+    if t < 1:
+        raise DataError(f"t={t}: must be an integer >= 1")
     t2 = t * t
     if context_len <= t2 + 1:
         raise DataError(f"context_len {context_len} must exceed image run size {t2 + 1}")
@@ -231,8 +212,6 @@ def pack(records, context_len: int, vocab: Vocab, t: int,
 
 
 def write_packed(path, seqs: list[PackedSequence]) -> int:
-    from .common import dump_json_line
-
     with open(path, "w", encoding="utf-8") as fh:
         for s in seqs:
             fh.write(dump_json_line(s.to_obj()))

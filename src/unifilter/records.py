@@ -15,12 +15,13 @@ the two:
   {"patch_grid": {"h": H, "w": W, "dim": D, "data": [...]}}
 
 Floats are written with repr precision, so write -> read -> write is byte
-stable.  Readers validate each line and either raise (strict=True) or skip the
-line while recording (line_no, message).
+stable.  The reader validates each line and raises SchemaError, naming the
+line, on the first malformed one.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -198,6 +199,11 @@ class LabeledSample:
         }
 
 
+def unwrap(record):
+    """The caption or document inside a LabeledSample; any other record as is."""
+    return record.record if isinstance(record, LabeledSample) else record
+
+
 @dataclass
 class ScoredRecord:
     id: str
@@ -315,37 +321,24 @@ def sniff_kind(obj) -> str:
 # --- streams -----------------------------------------------------------------
 
 
-def read_records(path, kind: str, strict: bool = False, errors: list | None = None):
+def read_records(path, kind: str):
     """Yield records from a JSONL file in file order.
 
     kind is one of caption / interleaved / labeled / scored, or "auto" to
-    sniff each line.  Malformed lines raise SchemaError in strict mode;
-    otherwise they are skipped and (line_no, message) is appended to errors
-    when a list is supplied.
+    sniff each line.  The first malformed line raises SchemaError with its
+    line number.
     """
-    import json as _json
-
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                obj = _json.loads(line)
-            except _json.JSONDecodeError as exc:
-                err = SchemaError(f"invalid JSON: {exc.msg}", line_no)
-                if strict:
-                    raise err from exc
-                if errors is not None:
-                    errors.append((line_no, str(err)))
-                continue
-            try:
-                k = sniff_kind(obj) if kind == "auto" else kind
-                yield decode_record(obj, k, line_no)
-            except SchemaError as err:
-                if strict:
-                    raise
-                if errors is not None:
-                    errors.append((line_no, str(err)))
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise SchemaError(f"invalid JSON: {exc.msg}", line_no) from exc
+            if not isinstance(obj, dict):
+                raise SchemaError(f"expected a JSON object, got {type(obj).__name__}", line_no)
+            yield decode_record(obj, sniff_kind(obj) if kind == "auto" else kind, line_no)
 
 
 def write_records(path, records) -> int:

@@ -8,10 +8,10 @@ document} for interleaved, images referenced as <img>description</img> tags).
 The prompts and the two response parsers are the contract a real generator
 must meet; every mock response passes through the same parsers.
 
-The mock generator needs no network: it derives K pseudo-keywords per image
-from patch statistics (quadrant mean intensities hashed into per-slot word
-banks) and writes template text whose keyword overlap with the image encodes
-the level exactly:
+The mock generator needs no network: it derives K = 4 pseudo-keywords per
+image from patch statistics (quadrant mean intensities bucketed into
+per-slot word banks) and writes template text whose keyword overlap with the
+image encodes the level exactly:
 
   positive        all K keywords present
   hard_negative   exactly one keyword swapped for a near neighbor
@@ -32,13 +32,14 @@ import hashlib
 import math
 import re
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .common import DataError, child_rng, child_seed
 from .packing import tokenize_words
 from .records import (CaptionSample, DocItem, ImagePayload, InterleavedDoc, LabeledSample,
-                      LEVEL_NAMES, LEVEL_IDS)
+                      LEVEL_NAMES, unwrap)
 
 EASY, MEDIUM, HARD, POSITIVE = 0, 1, 2, 3
 
@@ -127,9 +128,9 @@ def build_prompt(modality: str, level: int, num_words: int = 50) -> str:
 # --- keyword machinery ---------------------------------------------------------------
 #
 # Slot q of an image is the mean intensity of quadrant q (TL, TR, BL, BR),
-# bucketed into B bins; bucket b of slot q names word SLOT_BANKS[q][b].  Banks
-# are disjoint from each other and from all template filler text, so a word's
-# presence in generated text is unambiguous.
+# bucketed into N_BUCKETS bins; bucket b of slot q names word SLOT_BANKS[q][b].
+# Banks are disjoint from each other and from all template filler text, so a
+# word's presence in generated text is unambiguous.
 
 SLOT_BANKS = [
     ["fox", "heron", "otter", "lynx", "ibis", "toad", "crane", "mole"],
@@ -137,55 +138,36 @@ SLOT_BANKS = [
     ["copper", "ivory", "crimson", "olive", "amber", "slate", "indigo", "pearl"],
     ["harbor", "meadow", "attic", "canyon", "plaza", "orchard", "tundra", "cellar"],
 ]
+KEYWORDS_PER_IMAGE = len(SLOT_BANKS)
 N_BUCKETS = 8
+IMAGE_HW = 16                 # mock images are 1 x IMAGE_HW x IMAGE_HW pixels
+JITTER = 0.004
+TEXTURE_TILE = 4              # patch-aligned tile size
+FILLER_CONTAMINATION = 0.08   # chance a filler borrows a neighbor level's style
 
 
-@dataclass
-class MockConfig:
-    keywords_per_image: int = 4   # 3 or 4 slots
-    buckets: int = N_BUCKETS
-    image_hw: int = 16
-    channels: int = 1
-    jitter: float = 0.004
-    texture_amp: float = 1.0
-    texture_tile: int = 4  # patch-aligned tile size
-    filler_contamination: float = 0.08  # chance a filler borrows a neighbor level's style
+@cache
+def bucket_textures() -> np.ndarray:
+    """Fixed zero-mean +/-1 texture per bucket, shape (N_BUCKETS, IMAGE_HW/2, IMAGE_HW/2).
 
-    def __post_init__(self):
-        if not 3 <= self.keywords_per_image <= len(SLOT_BANKS):
-            raise DataError("keywords_per_image must be 3 or 4")
-        if not 2 <= self.buckets <= N_BUCKETS:
-            raise DataError(f"buckets must be in 2..{N_BUCKETS}")
-
-
-_texture_cache: dict[tuple, np.ndarray] = {}
-
-
-def bucket_textures(buckets: int, quad_hw: int, tile: int) -> np.ndarray:
-    """Fixed zero-mean +/-1 texture per bucket, shape (buckets, quad_hw, quad_hw).
-
-    Rendered quadrants carry base intensity plus texture_amp times this
-    pattern.  Each texture is a tile x tile sign pattern repeated across the
-    quadrant, so with a matching patch size every patch of a quadrant embeds
-    to the same bucket-specific vector.  The pattern averages to exactly
-    zero, which keeps quadrant means (the statistic keywords are derived
-    from) at their bucket centers while making buckets linearly separable
-    instead of collinear.
+    Rendered quadrants carry base intensity plus this pattern.  Each texture
+    is a TEXTURE_TILE-square sign pattern repeated across the quadrant, so
+    with a matching patch size every patch of a quadrant embeds to the same
+    bucket-specific vector.  The pattern averages to exactly zero, which
+    keeps quadrant means (the statistic keywords are derived from) at their
+    bucket centers while making buckets linearly separable instead of
+    collinear.
     """
-    if quad_hw % tile:
-        tile = quad_hw
-    key = (buckets, quad_hw, tile)
-    if key not in _texture_cache:
-        rng = child_rng(0, "bucket-texture", buckets, tile)
-        n = tile * tile
-        reps = quad_hw // tile
-        pats = np.empty((buckets, quad_hw, quad_hw))
-        for b in range(buckets):
-            flat = np.concatenate([np.ones(n // 2), -np.ones(n - n // 2)])
-            rng.shuffle(flat)
-            pats[b] = np.tile(flat.reshape(tile, tile), (reps, reps))
-        _texture_cache[key] = pats
-    return _texture_cache[key]
+    rng = child_rng(0, "bucket-texture", N_BUCKETS, TEXTURE_TILE)
+    n = TEXTURE_TILE * TEXTURE_TILE
+    quad_hw = IMAGE_HW // 2
+    reps = quad_hw // TEXTURE_TILE
+    pats = np.empty((N_BUCKETS, quad_hw, quad_hw))
+    for b in range(N_BUCKETS):
+        flat = np.concatenate([np.ones(n // 2), -np.ones(n - n // 2)])
+        rng.shuffle(flat)
+        pats[b] = np.tile(flat.reshape(TEXTURE_TILE, TEXTURE_TILE), (reps, reps))
+    return pats
 
 
 def quadrant_means(pixels: np.ndarray) -> list[float]:
@@ -198,20 +180,22 @@ def quadrant_means(pixels: np.ndarray) -> list[float]:
     ]
 
 
-def derive_buckets(payload: ImagePayload, cfg: MockConfig) -> list[int]:
+def derive_buckets(payload: ImagePayload) -> list[int]:
     """Per-slot buckets from patch statistics; byte-hash fallback for grids."""
-    b = cfg.buckets
     if payload.pixels is not None:
-        means = quadrant_means(payload.pixels)
-        return [min(b - 1, max(0, int(m * b))) for m in means[: cfg.keywords_per_image]]
+        return [min(N_BUCKETS - 1, max(0, int(m * N_BUCKETS)))
+                for m in quadrant_means(payload.pixels)]
     digest = hashlib.sha256(payload.patches.tobytes()).digest()
-    return [digest[q] % b for q in range(cfg.keywords_per_image)]
+    return [digest[q] % N_BUCKETS for q in range(KEYWORDS_PER_IMAGE)]
 
 
-def derive_keywords(payload: ImagePayload, cfg: MockConfig | None = None) -> list[str]:
-    """K pseudo-keywords for an image, one per slot, fully deterministic."""
-    cfg = cfg or MockConfig()
-    return [SLOT_BANKS[q][bk] for q, bk in enumerate(derive_buckets(payload, cfg))]
+def _words(buckets) -> list[str]:
+    return [SLOT_BANKS[q][bk] for q, bk in enumerate(buckets)]
+
+
+def derive_keywords(payload: ImagePayload) -> list[str]:
+    """One pseudo-keyword per slot for an image, fully deterministic."""
+    return _words(derive_buckets(payload))
 
 
 def label_from_overlap(overlap: int, k: int) -> int:
@@ -225,33 +209,29 @@ def label_from_overlap(overlap: int, k: int) -> int:
     return EASY
 
 
-def keyword_overlap_label(record, cfg: MockConfig | None = None) -> int:
+def keyword_overlap_label(record) -> int:
     """Recover the quality label of a mock record from keyword overlap alone."""
-    cfg = cfg or MockConfig()
-    k = cfg.keywords_per_image
-    if isinstance(record, LabeledSample):
-        record = record.record
+    record = unwrap(record)
     if isinstance(record, CaptionSample):
         tokens = set(tokenize_words(record.text))
-        overlap = sum(1 for w in derive_keywords(record.image, cfg) if w in tokens)
-        return label_from_overlap(overlap, k)
+        overlap = sum(1 for w in derive_keywords(record.image) if w in tokens)
+        return label_from_overlap(overlap, KEYWORDS_PER_IMAGE)
     if isinstance(record, InterleavedDoc):
         tokens = set(tokenize_words(" ".join(record.texts())))
         per_image = [
-            sum(1 for w in derive_keywords(img, cfg) if w in tokens)
+            sum(1 for w in derive_keywords(img) if w in tokens)
             for img in record.images()
         ]
         mean = sum(per_image) / len(per_image)
-        return label_from_overlap(int(round(mean)), k)
+        return label_from_overlap(int(round(mean)), KEYWORDS_PER_IMAGE)
     raise DataError(f"cannot label record of type {type(record).__name__}")
 
 
 # --- mock text rendering ---------------------------------------------------------------
 
 # one frame, keywords in fixed slot order; variety comes from the filler tail
-_CAPTION_TEMPLATES = [
-    "A {a} rests by the {o} in {m} tones near the {p}.",
-]
+_CAPTION_TEMPLATE = "A {0} rests by the {1} in {2} tones near the {3}."
+_DOC_SENTENCE_TEMPLATE = "Here a {0} waits by the {1} in {2} tones near the {3}."
 
 # level-graded filler: the lower the quality level, the rougher the writing,
 # mirroring the generation requirements (easy text is disfluent, medium is
@@ -284,15 +264,15 @@ _DETAIL_TAILS = [
 ]
 
 
-def _level_filler(level: int, rng, contamination: float = 0.0) -> str:
+def _level_filler(level: int, rng) -> str:
     """Filler sentence in the level's writing style.
 
-    With probability `contamination` the style of an adjacent level is used
-    instead, so surface fluency alone does not fully determine the label and
-    the keyword-overlap signal keeps marginal value.
+    With probability FILLER_CONTAMINATION the style of an adjacent level is
+    used instead, so surface fluency alone does not fully determine the label
+    and the keyword-overlap signal keeps marginal value.
     """
     style = level
-    if contamination > 0 and rng.uniform() < contamination:
+    if rng.uniform() < FILLER_CONTAMINATION:
         style = min(POSITIVE, max(EASY, level + (1 if rng.integers(2) else -1)))
     if style == EASY:
         pool = _EASY_FILLERS
@@ -305,62 +285,48 @@ def _level_filler(level: int, rng, contamination: float = 0.0) -> str:
         out = f"{out} {_DETAIL_TAILS[int(rng.integers(len(_DETAIL_TAILS)))]}"
     return out
 
-_DOC_SENTENCE_TEMPLATES = [
-    "Here a {a} waits by the {o} in {m} tones near the {p}.",
-]
 
 _DOC_INTRO = "The following notes walk through each picture in turn."
 _DOC_OUTRO = "That closes out this set of pictures and remarks."
 
 
-def _fill(template: str, kws: list[str]) -> str:
-    names = {"a": kws[0], "o": kws[1], "m": kws[2]}
-    if len(kws) > 3:
-        names["p"] = kws[3]
-    else:
-        names["p"] = "room"  # neutral, outside every bank
-    return template.format(**names)
-
-
-def _swap_slot(buckets, slot, cfg, rng, banned_buckets, near=False):
+def _swap_slot(buckets, slot, rng, banned_buckets, near=False):
     """Pick a wrong bucket for one slot, avoiding banned ones for that slot."""
-    b = cfg.buckets
     cur = buckets[slot]
     banned = set(banned_buckets.get(slot, ())) | {cur}
     if near:
-        for cand in rng.permutation([(cur - 1) % b, (cur + 1) % b]):
+        for cand in rng.permutation([(cur - 1) % N_BUCKETS, (cur + 1) % N_BUCKETS]):
             if cand not in banned:
                 return int(cand)
-    choices = [x for x in range(b) if x not in banned]
+    choices = [x for x in range(N_BUCKETS) if x not in banned]
     if not choices:
         raise DataError("no free bucket left for keyword swap; lower images per doc")
     return int(rng.choice(choices))
 
 
-def _level_keywords(buckets, level: int, cfg: MockConfig, rng, banned_buckets) -> list[str]:
+def _level_keywords(buckets, level: int, rng, banned_buckets) -> list[str]:
     """Keyword list actually written into the text for one image at one level."""
-    k = cfg.keywords_per_image
+    k = KEYWORDS_PER_IMAGE
     out = list(buckets)
     if level == POSITIVE:
         pass
     elif level == HARD:
         slot = int(rng.integers(k))
-        out[slot] = _swap_slot(buckets, slot, cfg, rng, banned_buckets, near=True)
+        out[slot] = _swap_slot(buckets, slot, rng, banned_buckets, near=True)
     elif level == MEDIUM:
         keep = int(rng.integers(k))
         for slot in range(k):
             if slot != keep:
-                out[slot] = _swap_slot(buckets, slot, cfg, rng, banned_buckets)
+                out[slot] = _swap_slot(buckets, slot, rng, banned_buckets)
     elif level == EASY:
         for slot in range(k):
-            out[slot] = _swap_slot(buckets, slot, cfg, rng, banned_buckets)
+            out[slot] = _swap_slot(buckets, slot, rng, banned_buckets)
     else:
         raise DataError(f"unknown quality level {level}")
-    return [SLOT_BANKS[q][bk] for q, bk in enumerate(out)]
+    return _words(out)
 
 
 def mock_generate_caption(payload: ImagePayload, level: int, seed: int,
-                          cfg: MockConfig | None = None,
                           donor: ImagePayload | None = None) -> dict:
     """Caption-modality mock response: {topic, positive_caption, negative_caption}.
 
@@ -368,64 +334,53 @@ def mock_generate_caption(payload: ImagePayload, level: int, seed: int,
     easy negatives the replacement keywords come from the donor image when one
     is supplied, with collisions against this image's keywords bumped away.
     """
-    cfg = cfg or MockConfig()
     rng = child_rng(seed, "mock-caption", level)
-    buckets = derive_buckets(payload, cfg)
-    true_kws = [SLOT_BANKS[q][bk] for q, bk in enumerate(buckets)]
+    buckets = derive_buckets(payload)
+    true_kws = _words(buckets)
+    neg_level = level if level != POSITIVE else EASY
 
     if level == EASY and donor is not None:
-        donor_buckets = derive_buckets(donor, cfg)
-        neg_buckets = [
-            db if db != tb else (db + 1) % cfg.buckets
-            for db, tb in zip(donor_buckets, buckets)
-        ]
-        neg_kws = [SLOT_BANKS[q][bk] for q, bk in enumerate(neg_buckets)]
+        neg_kws = _words(db if db != tb else (db + 1) % N_BUCKETS
+                         for db, tb in zip(derive_buckets(donor), buckets))
     else:
-        neg_kws = _level_keywords(buckets, level if level != POSITIVE else EASY,
-                                  cfg, rng, banned_buckets={})
+        neg_kws = _level_keywords(buckets, neg_level, rng, banned_buckets={})
 
     def render(kws, lvl):
-        template = _CAPTION_TEMPLATES[int(rng.integers(len(_CAPTION_TEMPLATES)))]
-        return f"{_fill(template, kws)} {_level_filler(lvl, rng, cfg.filler_contamination)}"
+        return f"{_CAPTION_TEMPLATE.format(*kws)} {_level_filler(lvl, rng)}"
 
     return {
         "topic": f"{true_kws[0]} by the {true_kws[-1]}",
         "positive_caption": render(true_kws, POSITIVE),
-        "negative_caption": render(neg_kws, level if level != POSITIVE else EASY),
+        "negative_caption": render(neg_kws, neg_level),
     }
 
 
-def mock_generate_document(images: list[ImagePayload], level: int, seed: int,
-                           cfg: MockConfig | None = None) -> dict:
+def mock_generate_document(images: list[ImagePayload], level: int, seed: int) -> dict:
     """Interleaved-modality mock response: {image_tags, document}.
 
     Every image appears exactly once as an <img>tag</img> placeholder between
     sentences; each image's paragraph carries its level-profile keywords, and
     swapped-in words never collide with any image's true keywords in the doc.
     """
-    cfg = cfg or MockConfig()
     if not images:
         raise DataError("interleaved generation needs at least one image")
     rng = child_rng(seed, "mock-doc", level)
-    k = cfg.keywords_per_image
 
-    all_buckets = [derive_buckets(img, cfg) for img in images]
-    banned = {slot: {b[slot] for b in all_buckets} for slot in range(k)}
+    all_buckets = [derive_buckets(img) for img in images]
+    banned = {slot: {b[slot] for b in all_buckets} for slot in range(KEYWORDS_PER_IMAGE)}
 
     tags = []
-    for i, buckets in enumerate(all_buckets):
-        kws = [SLOT_BANKS[q][bk] for q, bk in enumerate(buckets)]
+    for buckets in all_buckets:
+        kws = _words(buckets)
         tags.append(f"{kws[2]} {kws[0]} near {kws[1]}")
     if len(set(tags)) != len(tags):  # same-keyword images in one doc
         raise DataError("mock doc images must have distinct keyword sets")
 
     parts = [_DOC_INTRO]
-    for i, buckets in enumerate(all_buckets):
-        kws = _level_keywords(buckets, level, cfg, rng, banned)
-        sentence = _fill(
-            _DOC_SENTENCE_TEMPLATES[int(rng.integers(len(_DOC_SENTENCE_TEMPLATES)))], kws)
-        parts.append(f"<img>{tags[i]}</img>")
-        parts.append(f"{sentence} {_level_filler(level, rng, cfg.filler_contamination)}")
+    for tag, buckets in zip(tags, all_buckets):
+        sentence = _DOC_SENTENCE_TEMPLATE.format(*_level_keywords(buckets, level, rng, banned))
+        parts.append(f"<img>{tag}</img>")
+        parts.append(f"{sentence} {_level_filler(level, rng)}")
     parts.append(_DOC_OUTRO)
     return {"image_tags": tags, "document": "\n\n".join(parts)}
 
@@ -493,42 +448,38 @@ def parse_interleaved_response(resp: dict, images: list[ImagePayload]) -> list[D
 # --- mock sources ------------------------------------------------------------------------
 
 
-def render_mock_image(buckets, cfg: MockConfig, rng: np.random.Generator) -> ImagePayload:
+def render_mock_image(buckets, rng: np.random.Generator) -> ImagePayload:
     """One quadrant per slot: bucket-center intensity, bucket texture, tiny jitter."""
-    hw = cfg.image_hw
-    hh = hw // 2
-    img = np.empty((cfg.channels, hw, hw))
-    spans = [(slice(None, hh), slice(None, hh)), (slice(None, hh), slice(hh, None)),
-             (slice(hh, None), slice(None, hh)), (slice(hh, None), slice(hh, None))]
-    textures = bucket_textures(cfg.buckets, hh, cfg.texture_tile)
-    padded = list(buckets) + [cfg.buckets // 2] * (4 - len(buckets))
-    for span, b in zip(spans, padded):
-        img[:, span[0], span[1]] = (b + 0.5) / cfg.buckets + cfg.texture_amp * textures[b]
-    img += cfg.jitter * rng.uniform(-1.0, 1.0, size=img.shape)
+    hh = IMAGE_HW // 2
+    img = np.empty((1, IMAGE_HW, IMAGE_HW))
+    textures = bucket_textures()
+    for q, b in enumerate(buckets):
+        r, c = divmod(q, 2)
+        img[:, r * hh:(r + 1) * hh, c * hh:(c + 1) * hh] = (b + 0.5) / N_BUCKETS + textures[b]
+    img += JITTER * rng.uniform(-1.0, 1.0, size=img.shape)
     return ImagePayload(pixels=img)
 
 
 def make_mock_sources(n_caption_images: int, n_docs: int, seed: int,
-                      cfg: MockConfig | None = None, max_images_per_doc: int = 3):
+                      max_images_per_doc: int = 3):
     """Seeded source corpus: caption images plus image groups for documents.
 
     Images inside one document get distinct buckets in every slot so their
     keyword sets never collide (a collision would make overlap labels
     ambiguous).
     """
-    cfg = cfg or MockConfig()
-    k = cfg.keywords_per_image
+    k = KEYWORDS_PER_IMAGE
     rng = child_rng(seed, "mock-sources")
     images = [
-        render_mock_image(rng.integers(cfg.buckets, size=k), cfg, rng)
+        render_mock_image(rng.integers(N_BUCKETS, size=k), rng)
         for _ in range(n_caption_images)
     ]
     docs = []
     for _ in range(n_docs):
         m = int(rng.integers(1, max_images_per_doc + 1))
-        per_slot = [rng.choice(cfg.buckets, size=m, replace=False) for _ in range(k)]
+        per_slot = [rng.choice(N_BUCKETS, size=m, replace=False) for _ in range(k)]
         docs.append([
-            render_mock_image([int(per_slot[q][i]) for q in range(k)], cfg, rng)
+            render_mock_image([int(per_slot[q][i]) for q in range(k)], rng)
             for i in range(m)
         ])
     return images, docs
@@ -538,15 +489,14 @@ def make_mock_sources(n_caption_images: int, n_docs: int, seed: int,
 
 
 def _caption_sample(id: str, payload: ImagePayload, donor: ImagePayload, level: int,
-                    seed: int, cfg: MockConfig) -> LabeledSample:
-    resp = mock_generate_caption(payload, level, seed, cfg, donor=donor)
+                    seed: int) -> LabeledSample:
+    resp = mock_generate_caption(payload, level, seed, donor=donor)
     rec = CaptionSample(id=id, image=payload, text=parse_caption_response(resp, level))
     return LabeledSample(record=rec, label=level, level_name=LEVEL_NAMES[level])
 
 
-def _doc_sample(id: str, group: list[ImagePayload], level: int, seed: int,
-                cfg: MockConfig) -> LabeledSample:
-    resp = mock_generate_document(group, level, seed, cfg)
+def _doc_sample(id: str, group: list[ImagePayload], level: int, seed: int) -> LabeledSample:
+    resp = mock_generate_document(group, level, seed)
     rec = InterleavedDoc(id=id, items=parse_interleaved_response(resp, group))
     return LabeledSample(record=rec, label=level, level_name=LEVEL_NAMES[level])
 
@@ -578,10 +528,13 @@ def build_dataset(images_caption: list[ImagePayload],
     (train, val, GenReport); the split is a seeded shuffle with
     floor(val_fraction * n) validation samples, no stratification.
     """
-    cfg = MockConfig()
-    for level in counts_per_level:
+    if not 0 <= val_fraction < 1:
+        raise DataError(f"val_fraction={val_fraction!r}: must be a number in [0, 1)")
+    for level, count in counts_per_level.items():
         if level not in LEVEL_NAMES:
             raise DataError(f"unknown quality level {level}")
+        if count < 0:
+            raise DataError(f"count for level {level} is {count}: must be >= 0")
     need = sum(counts_per_level.values())
     if need > len(images_caption):
         raise DataError(f"need {need} caption images, have {len(images_caption)}")
@@ -595,11 +548,11 @@ def build_dataset(images_caption: list[ImagePayload],
         sub_seed = int(child_seed(seed, "gen-cap", level, i).generate_state(1)[0])
         samples.append(_caption_sample(
             f"cap-{len(samples):06d}", images_caption[i],
-            images_caption[(i + 1) % len(images_caption)], level, sub_seed, cfg))
+            images_caption[(i + 1) % len(images_caption)], level, sub_seed))
     for i, level in enumerate(levels):
         sub_seed = int(child_seed(seed, "gen-doc", level, i).generate_state(1)[0])
         samples.append(_doc_sample(f"doc-{len(samples):06d}", list(docs_interleaved[i]),
-                                   level, sub_seed, cfg))
+                                   level, sub_seed))
     for cap in nonsyn_positives or []:
         samples.append(LabeledSample(record=cap, label=POSITIVE,
                                      level_name=LEVEL_NAMES[POSITIVE],
@@ -627,9 +580,8 @@ def make_mock_benchmark(train_per_cell: int, val_per_cell: int, seed: int):
     of the 8 cells, shuffled within each split.  Sources are generated
     internally from the seed.
     """
-    cfg = MockConfig()
     per_cell = train_per_cell + val_per_cell
-    images, docs = make_mock_sources(per_cell * 4, per_cell * 4, seed, cfg)
+    images, docs = make_mock_sources(per_cell * 4, per_cell * 4, seed)
 
     train: list[LabeledSample] = []
     val: list[LabeledSample] = []
@@ -639,12 +591,12 @@ def make_mock_benchmark(train_per_cell: int, val_per_cell: int, seed: int):
             j = level * per_cell + i
             sample = _caption_sample(f"cap-{counter:06d}", images[j],
                                      images[(j + 1) % len(images)], level,
-                                     seed * 1000003 + counter, cfg)
+                                     seed * 1000003 + counter)
             (val if i < val_per_cell else train).append(sample)
             counter += 1
         for i in range(per_cell):
             sample = _doc_sample(f"doc-{counter:06d}", list(docs[level * per_cell + i]),
-                                 level, seed * 1000003 + counter, cfg)
+                                 level, seed * 1000003 + counter)
             (val if i < val_per_cell else train).append(sample)
             counter += 1
     child_rng(seed, "bench-shuffle-train").shuffle(train)

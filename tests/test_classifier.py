@@ -10,8 +10,6 @@ from unifilter.classifier import (
     QualityModel,
     TrainConfig,
     assemble,
-    assemble_caption,
-    assemble_interleaved,
     backward_score,
     forward_score,
     init_params,
@@ -67,7 +65,7 @@ def _image_rows(model, seed):
 
 def test_caption_layout_image_tokens_then_text():
     model = _model()
-    asm = assemble_caption(_caption(), TINY, model.vocab, model.params)
+    asm = assemble(_caption(), TINY, model.vocab, model.params)
     t2 = TINY.encoder.tokens_per_image()
     ids = tokenize("a fox rests by the kettle", model.vocab)
     assert [start for start, _ in asm.image_blocks] == [0]
@@ -78,7 +76,7 @@ def test_caption_layout_image_tokens_then_text():
 
 def test_interleaved_layout_preserves_item_order():
     model = _model()
-    asm = assemble_interleaved(_doc(), TINY, model.vocab, model.params)
+    asm = assemble(_doc(), TINY, model.vocab, model.params)
     t2 = TINY.encoder.tokens_per_image()
     open_ids = tokenize("an opening line", model.vocab)
     close_ids = tokenize("a closing line", model.vocab)
@@ -97,8 +95,8 @@ def test_interleaved_layout_preserves_item_order():
 def test_caption_truncates_text_to_fit():
     model = _model()
     long_text = " ".join(["word"] * 100)
-    asm = assemble_caption(CaptionSample(id="c", image=_pixels(1), text=long_text),
-                           TINY, model.vocab, model.params)
+    asm = assemble(CaptionSample(id="c", image=_pixels(1), text=long_text),
+                   TINY, model.vocab, model.params)
     assert len(asm) == TINY.max_seq_len
 
 
@@ -108,8 +106,7 @@ def test_interleaved_drops_trailing_text_first_keeps_all_images():
              DocItem(kind="image", image=_pixels(2)),
              DocItem(kind="text", text=" ".join(["late"] * 100)),
              DocItem(kind="image", image=_pixels(3))]
-    asm = assemble_interleaved(InterleavedDoc(id="d", items=items),
-                               TINY, model.vocab, model.params)
+    asm = assemble(InterleavedDoc(id="d", items=items), TINY, model.vocab, model.params)
     t2 = TINY.encoder.tokens_per_image()
     n_late = TINY.max_seq_len - 2 * t2 - 10
     assert len(asm) == TINY.max_seq_len
@@ -124,15 +121,14 @@ def test_too_many_image_tokens_is_an_error():
     items = [DocItem(kind="text", text="x")] + [
         DocItem(kind="image", image=_pixels(i)) for i in range(9)]
     with pytest.raises(DataError, match="image tokens"):
-        assemble_interleaved(InterleavedDoc(id="d", items=items),
-                             TINY, model.vocab, model.params)
+        assemble(InterleavedDoc(id="d", items=items), TINY, model.vocab, model.params)
 
 
 def test_empty_caption_text_is_an_error():
     model = _model()
     with pytest.raises(DataError, match="empty text"):
-        assemble_caption(CaptionSample(id="c", image=_pixels(0), text="   "),
-                         TINY, model.vocab, model.params)
+        assemble(CaptionSample(id="c", image=_pixels(0), text="   "),
+                 TINY, model.vocab, model.params)
 
 
 def test_forward_matches_straight_line_recompute():

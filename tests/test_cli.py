@@ -10,6 +10,7 @@ import pytest
 
 import unifilter
 from unifilter.cli import main
+from unifilter.packing import Vocab
 
 TINY_CFG = {
     "encoder": {"patch_size": 4, "d_v": 8, "t": 4, "d": 16, "seed": 0},
@@ -234,6 +235,36 @@ def test_bad_train_config_exits_3_without_a_checkpoint(tmp_path, capsys, small_d
     assert obj["error"] == "data"
     assert field in obj["message"]
     assert not list(tmp_path.glob("model.json*"))  # no checkpoint, no manifest
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["gen", "--levels-count", "2", "--seed", "-1"], 2),
+    (["gen", "--levels-count", "2", "--val-fraction", "2"], 3),
+    (["gen", "--levels-count", "2", "--val-fraction", "-0.5"], 3),
+    (["gen", "--levels-count", "-1"], 3),
+    (["cluster", "--embeddings-from", "{train}", "--k", "2", "--per-cluster", "-3"], 3),
+    (["cluster", "--embeddings-from", "{train}", "--k", "2", "--per-cluster", "0"], 3),
+    (["pack", "--in", "{train}", "--vocab", "{vocab}", "--t", "0"], 3),
+], ids=["gen-seed-negative", "gen-val-fraction-2", "gen-val-fraction-negative",
+        "gen-levels-count-negative", "cluster-per-cluster-negative", "cluster-per-cluster-0",
+        "pack-t-0"])
+def test_out_of_range_inputs_exit_cleanly_without_output(tmp_path, capsys, small_data,
+                                                         argv, code):
+    vocab = tmp_path / "vocab.json"
+    Vocab(words=["fox"]).save(vocab)
+    out = tmp_path / "out"
+    argv = [arg.format(train=small_data / "train.jsonl", vocab=vocab) for arg in argv]
+    capsys.readouterr()
+    try:
+        rc = main([*argv, "--out", str(out)])
+    except SystemExit as exc:  # argparse usage errors
+        rc = exc.code
+    err = capsys.readouterr().err
+    assert rc == code
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("out*"))  # no primary output, no manifest
+    if code == 3:
+        assert json.loads(err)["error"] == "data"
 
 
 def test_usage_error_exits_2():

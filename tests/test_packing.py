@@ -14,7 +14,6 @@ from unifilter.packing import (
     UNK_ID,
     Vocab,
     build_vocab,
-    detokenize,
     flatten_doc,
     pack,
     tokenize,
@@ -77,13 +76,6 @@ def test_vocab_roundtrip_through_file(tmp_path):
     back = Vocab.load(path)
     assert back.words == vocab.words
     assert back.id_of("beta") == vocab.id_of("beta")
-
-
-def test_tokenize_detokenize_roundtrip():
-    vocab = build_vocab(["the fox jumps over the lazy dog ."])
-    text = "the fox jumps over the lazy dog ."
-    ids = tokenize(text, vocab)
-    assert detokenize(ids, vocab) == text
 
 
 def test_flatten_caption_image_then_text():
@@ -212,4 +204,3 @@ def test_unknown_words_map_to_unk():
     ids = tokenize("known mystery", vocab)
     assert ids[0] == vocab.id_of("known")
     assert ids[1] == UNK_ID
-    assert detokenize(ids, vocab) == "known <unk>"

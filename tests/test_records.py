@@ -1,5 +1,7 @@
 """Record schema round-trips and malformed-line policy."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -109,27 +111,20 @@ def test_auto_kind_reads_mixed_file(tmp_path):
     assert kinds == ["CaptionSample", "InterleavedDoc", "ScoredRecord"]
 
 
-def test_malformed_lines_skipped_with_line_numbers(tmp_path):
-    path = tmp_path / "bad.jsonl"
-    good = CaptionSample(id="ok", image=_pixels(), text="fine")
-    with open(path, "w") as fh:
-        fh.write("{not json\n")
-        import json
-
-        fh.write(json.dumps(good.to_obj()) + "\n")
-        fh.write('{"id": "no-text", "image": {"pixels": {"shape": [1,1,1], "data": [0.0]}}}\n')
-    errors = []
-    records = list(read_records(path, "caption", errors=errors))
-    assert [r.id for r in records] == ["ok"]
-    assert [ln for ln, _ in errors] == [1, 3]
-    assert all(msg.startswith(f"line {ln}:") for ln, msg in errors)
-
-
 def test_strict_mode_raises_on_first_bad_line(tmp_path):
+    good = json.dumps(CaptionSample(id="ok", image=_pixels(), text="fine").to_obj())
+    no_text = '{"id": "no-text", "image": {"pixels": {"shape": [1,1,1], "data": [0.0]}}}'
+    cases = [
+        (['{"id": 42}'], 1),
+        (["{not json", good], 1),          # invalid JSON
+        ([good, "[1, 2]"], 2),             # valid JSON, not an object
+        ([good, good, no_text, good], 3),  # missing key after good lines
+    ]
     path = tmp_path / "bad.jsonl"
-    path.write_text('{"id": 42}\n')
-    with pytest.raises(SchemaError):
-        list(read_records(path, "caption", strict=True))
+    for lines, line_no in cases:
+        path.write_text("".join(line + "\n" for line in lines))
+        with pytest.raises(SchemaError, match=f"^line {line_no}:"):
+            list(read_records(path, "caption"))
 
 
 def test_pixels_shape_must_match_data_length():

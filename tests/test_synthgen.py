@@ -11,9 +11,10 @@ from unifilter.records import (CaptionSample, DocItem, ImagePayload, Interleaved
 from unifilter.synthgen import (
     CAPTION_LEVEL_REQUIREMENTS,
     INTERLEAVED_LEVEL_REQUIREMENTS,
-    MockConfig,
+    N_BUCKETS,
     build_dataset,
     build_prompt,
+    derive_buckets,
     derive_keywords,
     keyword_overlap_label,
     make_mock_benchmark,
@@ -66,73 +67,64 @@ def test_build_prompt_rejects_unknown_inputs():
 # --- mock generation ---------------------------------------------------------------
 
 
-def _image(buckets, seed=0, cfg=None):
-    cfg = cfg or MockConfig()
-    return render_mock_image(buckets, cfg, child_rng(seed, "test-img"))
+def _image(buckets, seed=0):
+    return render_mock_image(buckets, child_rng(seed, "test-img"))
 
 
 def test_rendered_image_recovers_its_buckets():
-    cfg = MockConfig()
     for seed, buckets in enumerate([[0, 1, 2, 3], [7, 6, 5, 4], [3, 3, 3, 3]]):
-        img = _image(buckets, seed=seed, cfg=cfg)
-        from unifilter.synthgen import derive_buckets
-
-        assert derive_buckets(img, cfg) == buckets
+        assert derive_buckets(_image(buckets, seed=seed)) == buckets
 
 
 def test_caption_levels_encode_keyword_overlap():
-    cfg = MockConfig()
     img = _image([1, 4, 2, 7])
     donor = _image([5, 0, 6, 3])
-    kws = set(derive_keywords(img, cfg))
+    kws = set(derive_keywords(img))
     for level, expected_overlap in [(0, 0), (1, 1), (2, 3), (3, 4)]:
-        resp = mock_generate_caption(img, level, seed=11, cfg=cfg, donor=donor)
+        resp = mock_generate_caption(img, level, seed=11, donor=donor)
         caption = parse_caption_response(resp, level)
         words = set(caption.replace(".", " ").replace(",", " ").lower().split())
         assert len(kws & words) == expected_overlap, (level, caption)
 
 
 def test_keyword_overlap_label_inverts_generation():
-    cfg = MockConfig()
     rng = child_rng(3, "roundtrip")
     for level in LEVELS:
         for trial in range(5):
-            buckets = [int(b) for b in rng.integers(cfg.buckets, size=4)]
-            donor_buckets = [(b + 3) % cfg.buckets for b in buckets]
+            buckets = [int(b) for b in rng.integers(N_BUCKETS, size=4)]
+            donor_buckets = [(b + 3) % N_BUCKETS for b in buckets]
             img = _image(buckets, seed=trial)
             donor = _image(donor_buckets, seed=trial + 50)
-            resp = mock_generate_caption(img, level, seed=trial * 7 + level, cfg=cfg,
-                                         donor=donor)
+            resp = mock_generate_caption(img, level, seed=trial * 7 + level, donor=donor)
             sample = CaptionSample(id="c", image=img,
                                    text=parse_caption_response(resp, level))
-            assert keyword_overlap_label(sample, cfg) == level
+            assert keyword_overlap_label(sample) == level
 
 
 def test_document_levels_encode_mean_overlap():
-    cfg = MockConfig()
     rng = child_rng(4, "docs")
     for level in LEVELS:
-        per_slot = [rng.choice(cfg.buckets, size=2, replace=False) for _ in range(4)]
+        per_slot = [rng.choice(N_BUCKETS, size=2, replace=False) for _ in range(4)]
         images = [_image([int(per_slot[q][i]) for q in range(4)], seed=20 + i)
                   for i in range(2)]
-        resp = mock_generate_document(images, level, seed=level * 13, cfg=cfg)
+        resp = mock_generate_document(images, level, seed=level * 13)
         items = parse_interleaved_response(resp, images)
         doc = InterleavedDoc(id="d", items=items)
-        assert keyword_overlap_label(doc, cfg) == level
+        assert keyword_overlap_label(doc) == level
 
 
 def test_mock_generation_is_deterministic():
     img = _image([2, 5, 1, 6])
-    a = mock_generate_caption(img, 3, seed=9, cfg=MockConfig())
-    b = mock_generate_caption(img, 3, seed=9, cfg=MockConfig())
+    a = mock_generate_caption(img, 3, seed=9)
+    b = mock_generate_caption(img, 3, seed=9)
     assert a == b
-    c = mock_generate_caption(img, 3, seed=10, cfg=MockConfig())
+    c = mock_generate_caption(img, 3, seed=10)
     assert c != a  # seed moves the filler/detail choices
 
 
 def test_mock_document_response_schema():
     images = [_image([0, 2, 4, 6], seed=1), _image([1, 3, 5, 7], seed=2)]
-    resp = mock_generate_document(images, 3, seed=3, cfg=MockConfig())
+    resp = mock_generate_document(images, 3, seed=3)
     assert set(resp) == {"image_tags", "document"}
     assert len(resp["image_tags"]) == 2
     assert resp["document"].count("<img>") == 2
@@ -212,9 +204,8 @@ def test_build_dataset_is_deterministic():
 def test_build_dataset_labels_are_recoverable():
     images, docs = make_mock_sources(16, 16, seed=3)
     train, val, _ = build_dataset(images, docs, {0: 4, 1: 4, 2: 4, 3: 4}, seed=3)
-    cfg = MockConfig()
     for s in train + val:
-        assert keyword_overlap_label(s.record, cfg) == s.label
+        assert keyword_overlap_label(s.record) == s.label
 
 
 def test_build_dataset_injects_nonsynthetic_positives():
@@ -237,10 +228,9 @@ def test_build_dataset_needs_enough_sources():
 
 
 def test_mock_sources_doc_images_have_distinct_keywords():
-    cfg = MockConfig()
-    _, docs = make_mock_sources(0, 10, seed=7, cfg=cfg)
+    _, docs = make_mock_sources(0, 10, seed=7)
     for group in docs:
-        kw_sets = [set(derive_keywords(img, cfg)) for img in group]
+        kw_sets = [set(derive_keywords(img)) for img in group]
         for i in range(len(kw_sets)):
             for j in range(i + 1, len(kw_sets)):
                 assert not kw_sets[i] & kw_sets[j]
