@@ -11,10 +11,10 @@ minimizes MSE against the 0..3 level labels and keeps the epoch checkpoint
 with the best validation accuracy.
 
 The head reads one position and training fits one scalar, so the last
-block computes only what that position needs (transformer_block_last_row):
-keys and values cover every position, its query, attention and MLP the
-last row only.  forward_score and backward_score are the one forward and
-backward: training, validation, eval, score and bench all run them.
+block runs transformer_block's last-row case: keys and values cover every
+position, its query, attention and MLP the last row only.  forward_score
+and backward_score are the one forward and backward: training,
+validation, eval, score and bench all run them.
 
 Over-length policy: image tokens are never dropped.  Text is truncated from
 the right until the sequence fits max_seq_len; a record whose image tokens
@@ -32,8 +32,7 @@ from .common import DataError, NumericError, check_counts, check_field, child_rn
 from .encoder import (EncoderConfig, adaptive_avg_pool_2d, init_projector, patchify_embed,
                       project, project_backward)
 from .nn import (AdamConfig, Params, adam_init, adam_step, layer_norm, layer_norm_backward,
-                 save_tensors, load_tensors, transformer_block, transformer_block_backward,
-                 transformer_block_last_row, transformer_block_last_row_backward)
+                 save_tensors, load_tensors, transformer_block, transformer_block_backward)
 from .packing import Vocab, build_vocab, tokenize
 from .records import CaptionSample, DocItem, InterleavedDoc, LabeledSample, unwrap
 
@@ -128,12 +127,17 @@ class AssembledSequence:
         return self.emb.shape[0]
 
 
-def _pooled_vectors(payload, enc_cfg: EncoderConfig, key: str, pooled_cache):
-    if pooled_cache is not None and key in pooled_cache:
-        return pooled_cache[key]
+def _pooled_vectors(payload, enc_cfg: EncoderConfig, pooled_cache):
+    """Pooled patch vectors of one image, cached by payload object.
+
+    Record ids need not be unique across splits, so the key is the payload
+    itself: the caller keeps every cached payload alive while the cache is.
+    """
+    if pooled_cache is not None and id(payload) in pooled_cache:
+        return pooled_cache[id(payload)]
     pooled = adaptive_avg_pool_2d(patchify_embed(payload, enc_cfg), enc_cfg.t)
     if pooled_cache is not None:
-        pooled_cache[key] = pooled
+        pooled_cache[id(payload)] = pooled
     return pooled
 
 
@@ -176,9 +180,8 @@ def assemble(record, cfg: ModelConfig, vocab: Vocab, params: Params,
     pos = 0
     for item, ids in zip(items, item_ids):
         if ids is None:
-            key = f"{record.id}#{len(image_blocks)}"
             img_emb, proj_cache = project(
-                _pooled_vectors(item.image, cfg.encoder, key, pooled_cache), params)
+                _pooled_vectors(item.image, cfg.encoder, pooled_cache), params)
             chunks.append(img_emb)
             image_blocks.append((pos, proj_cache))
             pos += t2
@@ -215,13 +218,11 @@ def forward_score(asm: AssembledSequence, cfg: ModelConfig, params: Params,
     and head see that row.
     """
     x = _embed(asm, params)
-    last = cfg.n_layers - 1
     block_caches = []
-    for i in range(last):
-        x, cache = transformer_block(x, _subparams(params, f"blocks.{i}."), cfg.n_heads)
+    for i in range(cfg.n_layers):
+        x, cache = transformer_block(x, _subparams(params, f"blocks.{i}."), cfg.n_heads,
+                                     last_only=i == cfg.n_layers - 1)
         block_caches.append(cache)
-    x, cache = transformer_block_last_row(x, _subparams(params, f"blocks.{last}."), cfg.n_heads)
-    block_caches.append(cache)
     h, ln_cache = layer_norm(x, params["ln_f_g"], params["ln_f_b"])
     score = _head(h[0], params)
     cache = (asm, h, ln_cache, block_caches) if keep_cache else None
@@ -237,10 +238,8 @@ def backward_score(dscore: float, cfg: ModelConfig, params: Params, cache, grads
     dx, dg, db = layer_norm_backward(dscore * params["head_w"].T, ln_cache)
     grads["ln_f_g"] += dg
     grads["ln_f_b"] += db
-    last = cfg.n_layers - 1
-    for i in range(last, -1, -1):
-        backward = transformer_block_last_row_backward if i == last else transformer_block_backward
-        dx, bgrads = backward(dx, block_caches[i])
+    for i in range(cfg.n_layers - 1, -1, -1):
+        dx, bgrads = transformer_block_backward(dx, block_caches[i])
         pre = f"blocks.{i}."
         for name, g in bgrads.items():
             grads[pre + name] += g

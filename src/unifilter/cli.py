@@ -20,7 +20,8 @@ import numpy as np
 
 from . import clustering, filtering, metrics, synthgen
 from .classifier import ModelConfig, TrainConfig, load_model, save_model, train
-from .common import DataError, NumericError, __version__, dump_json_line, write_json_file
+from .common import (DataError, NumericError, __version__, check_counts, check_field,
+                     dump_json_line, write_json_file)
 from .encoder import EncoderConfig
 from .filtering import FilterConfig
 from .packing import Vocab, pack, write_packed
@@ -295,6 +296,7 @@ def cmd_pack(args):
 
 
 def cmd_stats(args):
+    check_field(args, "image_token_equiv", lambda v: v >= 0, "an integer >= 0")
     records = _read_all(getattr(args, "in"), "auto")
     stats = filtering.corpus_stats(records, image_token_equiv=args.image_token_equiv,
                                    retained_fraction=args.retained_fraction)
@@ -306,6 +308,8 @@ def cmd_stats(args):
 
 
 def cmd_bench(args):
+    for size in args.sizes:
+        check_counts(argparse.Namespace(size=size), "size")
     model = load_model(args.checkpoint)
     report = filtering.throughput_bench(model, args.sizes, args.batches,
                                         seed=args.seed, repeats=args.repeats)

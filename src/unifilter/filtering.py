@@ -64,24 +64,23 @@ def score_corpus(records: list, model, cfg: FilterConfig | None = None,
             raise DataError(f"duplicate record id {rid!r}")
         seen.add(rid)
 
-    def score_batch(batch: list[tuple[int, object]]):
+    def score_batch(batch: list):
         out = []
-        for pos, rec in batch:
+        for rec in batch:
             raw = unwrap(rec)
             try:
                 score = model.score_record(raw)
             except DataError as exc:
-                out.append((pos, None, {"id": raw.id, "error": str(exc)}))
+                out.append((None, {"id": raw.id, "error": str(exc)}))
             else:
                 if math.isfinite(score):
-                    out.append((pos, ScoredRecord(id=raw.id, score=score,
-                                                  modality=_modality(raw)), None))
+                    out.append((ScoredRecord(id=raw.id, score=score,
+                                             modality=_modality(raw)), None))
                 else:
-                    out.append((pos, None, {"id": raw.id, "error": "non-finite score"}))
+                    out.append((None, {"id": raw.id, "error": "non-finite score"}))
         return out
 
-    batches = [list(enumerate(records))[i:i + cfg.batch_size]
-               for i in range(0, len(records), cfg.batch_size)]
+    batches = [records[i:i + cfg.batch_size] for i in range(0, len(records), cfg.batch_size)]
     if cfg.workers > 1:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
             batch_results = list(pool.map(score_batch, batches))
@@ -91,7 +90,7 @@ def score_corpus(records: list, model, cfg: FilterConfig | None = None,
     scored: list[ScoredRecord] = []
     rejects: list[dict] = []
     for batch in batch_results:
-        for _, rec, rej in batch:
+        for rec, rej in batch:
             if rej is not None:
                 rejects.append(rej)
             else:

@@ -2,7 +2,10 @@
 
 There is no autodiff here.  The architecture is fixed (pre-LN blocks, causal
 multi-head attention, GELU MLP), so every op ships a forward that returns a
-cache and a backward that consumes it.  All math is plain numpy on (seq, dim)
+cache and a backward that consumes it.  Attention and the block have one
+forward and one backward each, with one choice of query rows: all n rows
+under the causal mask, or the last row only (last_only), which attends to
+every row and so builds no mask.  All math is plain numpy on (seq, dim)
 matrices; parameters live in a flat dict of named float arrays, which keeps
 the optimizer, the checkpoint format and the finite-difference harness
 trivially generic.
@@ -93,67 +96,69 @@ def layer_norm_backward(dy, cache):
 # --- attention ------------------------------------------------------------------
 
 
-def causal_self_attention(x: np.ndarray, p: Params, n_heads: int):
+def causal_self_attention(x: np.ndarray, p: Params, n_heads: int, last_only: bool = False):
     """Multi-head causal self-attention on a single (n, d) sequence.
 
-    p holds wq,bq,wk,bk,wv,bv,wo,bo.  Position i attends to positions <= i.
-    Returns (out, cache).
+    p holds wq,bq,wk,bk,wv,bv,wo,bo.  Keys and values cover all n rows.
+    Queries cover all n rows, where position i attends to positions <= i,
+    or with last_only the last row alone, which attends to every position
+    and so needs no mask.  Returns (out, cache) with out of shape (n, d) or
+    (1, d).
     """
     n, d = x.shape
     dh = d // n_heads
-    q = linear(x, p["wq"], p["bq"])
+    xq = x[-1:] if last_only else x
+    m = xq.shape[0]
+    q = linear(xq, p["wq"], p["bq"])
     k = linear(x, p["wk"], p["bk"])
     v = linear(x, p["wv"], p["bv"])
-    # (heads, n, dh)
-    qh = q.reshape(n, n_heads, dh).transpose(1, 0, 2)
+    # (heads, rows, dh)
+    qh = q.reshape(m, n_heads, dh).transpose(1, 0, 2)
     kh = k.reshape(n, n_heads, dh).transpose(1, 0, 2)
     vh = v.reshape(n, n_heads, dh).transpose(1, 0, 2)
     scale = 1.0 / math.sqrt(dh)
-    # one (heads, n, n) buffer: scores, then masked scores, then attention
+    # one (heads, m, n) buffer: scores, then masked scores, then attention
     attn = qh @ kh.transpose(0, 2, 1)
     attn *= scale
-    attn += np.triu(np.full((n, n), -np.inf), k=1)
+    if not last_only:
+        attn += np.triu(np.full((n, n), -np.inf), k=1)
     softmax_rows(attn)
-    outh = attn @ vh  # (heads, n, dh)
-    concat = outh.transpose(1, 0, 2).reshape(n, d)
+    outh = attn @ vh  # (heads, m, dh)
+    concat = outh.transpose(1, 0, 2).reshape(m, d)
     out = linear(concat, p["wo"], p["bo"])
     cache = (x, p, n_heads, qh, kh, vh, attn, concat, scale)
     return out, cache
 
 
-def _attention_heads_backward(doh, qh, kh, vh, attn, scale):
-    """(dqh, dkh, dvh) for outh = attn @ vh with attn = softmax(scale * qh @ kh^T + mask).
+def causal_self_attention_backward(dy, cache):
+    """Returns (dx, grads) matching the parameter names used in the forward.
 
-    Works per head on any number of query rows: (heads, n, n) attention in
-    the full block, (heads, 1, n) in the last-row block.
+    dy has the forward output's shape; dx always has shape (n, d), since
+    keys and values read every row.
     """
+    x, p, n_heads, qh, kh, vh, attn, concat, scale = cache
+    n, d = x.shape
+    m = qh.shape[1]  # query rows: n, or 1 for the last row only
+    dh = d // n_heads
+
+    dconcat, dwo, dbo = linear_backward(dy, concat, p["wo"])
+    doh = dconcat.reshape(m, n_heads, dh).transpose(1, 0, 2)
     dattn = doh @ vh.transpose(0, 2, 1)
     dvh = attn.transpose(0, 2, 1) @ doh
     # softmax backward; masked cells have attn == 0 so they contribute nothing
     dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
     dqh = (dscores @ kh) * scale
     dkh = (dscores.transpose(0, 2, 1) @ qh) * scale
-    return dqh, dkh, dvh
 
-
-def causal_self_attention_backward(dy, cache):
-    """Returns (dx, grads) matching the parameter names used in the forward."""
-    x, p, n_heads, qh, kh, vh, attn, concat, scale = cache
-    n, d = x.shape
-    dh = d // n_heads
-
-    dconcat, dwo, dbo = linear_backward(dy, concat, p["wo"])
-    doh = dconcat.reshape(n, n_heads, dh).transpose(1, 0, 2)
-    dqh, dkh, dvh = _attention_heads_backward(doh, qh, kh, vh, attn, scale)
-
-    dq = dqh.transpose(1, 0, 2).reshape(n, d)
+    dq = dqh.transpose(1, 0, 2).reshape(m, d)
     dk = dkh.transpose(1, 0, 2).reshape(n, d)
     dv = dvh.transpose(1, 0, 2).reshape(n, d)
 
-    dx_q, dwq, dbq = linear_backward(dq, x, p["wq"])
-    dx_k, dwk, dbk = linear_backward(dk, x, p["wk"])
+    dx_q, dwq, dbq = linear_backward(dq, x[n - m:], p["wq"])
+    dx, dwk, dbk = linear_backward(dk, x, p["wk"])
     dx_v, dwv, dbv = linear_backward(dv, x, p["wv"])
-    dx = dx_q + dx_k + dx_v
+    dx[n - m:] += dx_q
+    dx += dx_v
     grads = {"wq": dwq, "bq": dbq, "wk": dwk, "bk": dbk,
              "wv": dwv, "bv": dbv, "wo": dwo, "bo": dbo}
     return dx, grads
@@ -183,77 +188,30 @@ def _mlp_sublayer_backward(dy, cache):
                  "ln2_g": dln2_g, "ln2_b": dln2_b}
 
 
-def transformer_block(x: np.ndarray, p: Params, n_heads: int):
-    """Pre-LN block: x + Attn(LN(x)), then x + MLP(LN(x)) with GELU."""
+def transformer_block(x: np.ndarray, p: Params, n_heads: int, last_only: bool = False):
+    """Pre-LN block: x + Attn(LN(x)), then x + MLP(LN(x)) with GELU.
+
+    With last_only the block returns its last row alone, (1, d): LN1, keys
+    and values still cover every row, while the query, attention, residual
+    and MLP run on the last row.  A block whose output feeds only the last
+    position's head needs no other row.
+    """
     h1, ln1_cache = layer_norm(x, p["ln1_g"], p["ln1_b"])
-    a, attn_cache = causal_self_attention(h1, p, n_heads)
-    out, mlp_cache = _mlp_sublayer(x + a, p)
+    a, attn_cache = causal_self_attention(h1, p, n_heads, last_only)
+    out, mlp_cache = _mlp_sublayer((x[-1:] if last_only else x) + a, p)
     return out, (ln1_cache, attn_cache, mlp_cache)
 
 
 def transformer_block_backward(dy, cache):
+    """Returns (dx, grads); dx has the block input's shape (n, d) in both cases."""
     ln1_cache, attn_cache, mlp_cache = cache
     dx1, grads = _mlp_sublayer_backward(dy, mlp_cache)
     dh1, attn_grads = causal_self_attention_backward(dx1, attn_cache)
     dx, dln1_g, dln1_b = layer_norm_backward(dh1, ln1_cache)
-    dx = dx + dx1  # residual
+    dx[len(dx) - len(dx1):] += dx1  # residual
 
     grads.update(attn_grads)
     grads.update({"ln1_g": dln1_g, "ln1_b": dln1_b})
-    return dx, grads
-
-
-def transformer_block_last_row(x: np.ndarray, p: Params, n_heads: int):
-    """The last row of transformer_block's output, (1, d), and its cache.
-
-    A block whose output feeds only the last position's head needs no other
-    row: LN1, keys and values cover all n rows, while the query, attention,
-    residual, LN2 and MLP run on the last row only.  The last position
-    attends to every position, so its (heads, 1, n) scores need no mask.
-    Equal to transformer_block(x)[0][-1:] up to rounding; the model runs its
-    last block through this function when training and when scoring.
-    """
-    n, d = x.shape
-    dh = d // n_heads
-    h1, ln1_cache = layer_norm(x, p["ln1_g"], p["ln1_b"])
-    q = linear(h1[-1:], p["wq"], p["bq"])
-    k = linear(h1, p["wk"], p["bk"])
-    v = linear(h1, p["wv"], p["bv"])
-    qh = q.reshape(1, n_heads, dh).transpose(1, 0, 2)  # (heads, 1, dh)
-    kh = k.reshape(n, n_heads, dh).transpose(1, 0, 2)
-    vh = v.reshape(n, n_heads, dh).transpose(1, 0, 2)
-    scale = 1.0 / math.sqrt(dh)
-    attn = softmax_rows((qh @ kh.transpose(0, 2, 1)) * scale)
-    concat = (attn @ vh).transpose(1, 0, 2).reshape(1, d)
-    out, mlp_cache = _mlp_sublayer(x[-1:] + linear(concat, p["wo"], p["bo"]), p)
-    return out, (ln1_cache, h1, qh, kh, vh, attn, concat, scale, mlp_cache)
-
-
-def transformer_block_last_row_backward(dy, cache):
-    """Returns (dx, grads) for transformer_block_last_row, with dy of shape (1, d).
-
-    dx has shape (n, d): the query path and both residuals feed the last row
-    only, while keys and values feed every row through LN1.
-    """
-    ln1_cache, h1, qh, kh, vh, attn, concat, scale, mlp_cache = cache
-    n_heads, n, dh = kh.shape
-    d = n_heads * dh
-    p = mlp_cache[-1]  # the block's parameters
-    dx1, grads = _mlp_sublayer_backward(dy, mlp_cache)
-
-    dconcat, dwo, dbo = linear_backward(dx1, concat, p["wo"])
-    doh = dconcat.reshape(1, n_heads, dh).transpose(1, 0, 2)
-    dqh, dkh, dvh = _attention_heads_backward(doh, qh, kh, vh, attn, scale)
-    dx_q, dwq, dbq = linear_backward(dqh.transpose(1, 0, 2).reshape(1, d), h1[-1:], p["wq"])
-    dh1, dwk, dbk = linear_backward(dkh.transpose(1, 0, 2).reshape(n, d), h1, p["wk"])
-    dx_v, dwv, dbv = linear_backward(dvh.transpose(1, 0, 2).reshape(n, d), h1, p["wv"])
-    dh1 += dx_v
-    dh1[-1] += dx_q[0]
-    dx, dln1_g, dln1_b = layer_norm_backward(dh1, ln1_cache)
-    dx[-1] += dx1[0]  # residual
-
-    grads.update({"wq": dwq, "bq": dbq, "wk": dwk, "bk": dbk, "wv": dwv, "bv": dbv,
-                  "wo": dwo, "bo": dbo, "ln1_g": dln1_g, "ln1_b": dln1_b})
     return dx, grads
 
 

@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .common import DataError, dump_json_line, read_json_file, write_json_file
-from .records import CaptionSample, InterleavedDoc
+from .records import CaptionSample, DocItem, InterleavedDoc
 
 PAD_ID = 0
 UNK_ID = 1
@@ -116,31 +116,27 @@ class FlatDoc:
 def flatten_doc(record, vocab: Vocab, t: int, caption_chunk_marker: bool = False) -> FlatDoc:
     """Flatten a caption or interleaved record into a FlatDoc.
 
-    t is the pooled grid side, so each image occupies t*t placeholder ids.
-    Interleaved images are preceded by end_of_chunk; captions only when
-    caption_chunk_marker is set.
+    A caption is the document [image, text].  t is the pooled grid side, so
+    each image occupies t*t placeholder ids.  Interleaved images are
+    preceded by end_of_chunk; caption images only when caption_chunk_marker
+    is set.
     """
-    t2 = t * t
-
-    def image_unit(marker: bool) -> list[int]:
-        unit = [END_OF_CHUNK_ID] if marker else []
-        unit.extend([IMAGE_PLACEHOLDER_ID] * t2)
-        return unit
-
-    segments: list[tuple] = []
     if isinstance(record, CaptionSample):
-        segments.append(("image", f"{record.id}#0", image_unit(caption_chunk_marker)))
-        segments.append(("text", tokenize(record.text, vocab)))
+        items = [DocItem(kind="image", image=record.image), DocItem(kind="text", text=record.text)]
+        marker = caption_chunk_marker
     elif isinstance(record, InterleavedDoc):
-        img_idx = 0
-        for item in record.items:
-            if item.kind == "text":
-                segments.append(("text", tokenize(item.text, vocab)))
-            else:
-                segments.append(("image", f"{record.id}#{img_idx}", image_unit(True)))
-                img_idx += 1
+        items, marker = record.items, True
     else:
         raise DataError(f"cannot flatten record of type {type(record).__name__}")
+    image_unit = ([END_OF_CHUNK_ID] if marker else []) + [IMAGE_PLACEHOLDER_ID] * (t * t)
+    segments: list[tuple] = []
+    n_images = 0
+    for item in items:
+        if item.kind == "text":
+            segments.append(("text", tokenize(item.text, vocab)))
+        else:
+            segments.append(("image", f"{record.id}#{n_images}", image_unit))
+            n_images += 1
     return FlatDoc(record_id=record.id, segments=segments)
 
 

@@ -20,7 +20,7 @@ from unifilter.classifier import (
 )
 from unifilter.common import DataError, child_rng
 from unifilter.encoder import EncoderConfig, adaptive_avg_pool_2d, patchify_embed, project
-from unifilter.nn import layer_norm, transformer_block, transformer_block_last_row
+from unifilter.nn import layer_norm, transformer_block
 from unifilter.packing import build_vocab, tokenize
 from unifilter.records import (
     CaptionSample,
@@ -92,6 +92,19 @@ def test_interleaved_layout_preserves_item_order():
         assert np.array_equal(asm.emb[start:start + t2], _image_rows(model, seed))
 
 
+def test_pooled_cache_keeps_apart_records_that_share_an_id():
+    """Ids repeat across splits; a shared cache must not mix up their images."""
+    model = _model()
+    first = CaptionSample(id="same", image=_pixels(1), text="a fox rests")
+    second = CaptionSample(id="same", image=_pixels(2), text="a fox rests")
+    cache = {}
+    for record in (first, second):
+        cached = assemble(record, TINY, model.vocab, model.params, cache)
+        uncached = assemble(record, TINY, model.vocab, model.params)
+        assert np.array_equal(cached.emb, uncached.emb)
+    assert len(cache) == 2
+
+
 def test_caption_truncates_text_to_fit():
     model = _model()
     long_text = " ".join(["word"] * 100)
@@ -145,7 +158,7 @@ def test_forward_matches_straight_line_recompute():
     x = np.concatenate([img_emb, p["tok_emb"][ids]])
     x = x + p["pos_emb"][: x.shape[0]]
     bp = {k[len("blocks.0."):]: v for k, v in p.items() if k.startswith("blocks.0.")}
-    x, _ = transformer_block_last_row(x, bp, TINY.n_heads)  # the last block
+    x, _ = transformer_block(x, bp, TINY.n_heads, last_only=True)  # the last block
     h, _ = layer_norm(x, p["ln_f_g"], p["ln_f_b"])
     expected = float(h[-1] @ p["head_w"][:, 0] + p["head_b"][0])
     assert score == expected

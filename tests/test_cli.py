@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import unifilter
+from unifilter.classifier import ModelConfig, QualityModel, init_params, save_model
 from unifilter.cli import main
+from unifilter.common import child_rng
 from unifilter.packing import Vocab
 
 TINY_CFG = {
@@ -245,15 +247,20 @@ def test_bad_train_config_exits_3_without_a_checkpoint(tmp_path, capsys, small_d
     (["cluster", "--embeddings-from", "{train}", "--k", "2", "--per-cluster", "-3"], 3),
     (["cluster", "--embeddings-from", "{train}", "--k", "2", "--per-cluster", "0"], 3),
     (["pack", "--in", "{train}", "--vocab", "{vocab}", "--t", "0"], 3),
+    (["stats", "--in", "{train}", "--image-token-equiv", "-5"], 3),
+    (["bench", "--checkpoint", "{ckpt}", "--sizes", "0"], 3),
 ], ids=["gen-seed-negative", "gen-val-fraction-2", "gen-val-fraction-negative",
         "gen-levels-count-negative", "cluster-per-cluster-negative", "cluster-per-cluster-0",
-        "pack-t-0"])
+        "pack-t-0", "stats-image-token-equiv-negative", "bench-sizes-0"])
 def test_out_of_range_inputs_exit_cleanly_without_output(tmp_path, capsys, small_data,
                                                          argv, code):
     vocab = tmp_path / "vocab.json"
     Vocab(words=["fox"]).save(vocab)
+    ckpt = tmp_path / "model.json"
+    cfg = ModelConfig(**{k: v for k, v in TINY_CFG.items() if k not in ("batch_size", "peak_lr")})
+    save_model(ckpt, QualityModel(cfg, Vocab(words=["fox"]), init_params(cfg, 5, child_rng(0))))
     out = tmp_path / "out"
-    argv = [arg.format(train=small_data / "train.jsonl", vocab=vocab) for arg in argv]
+    argv = [arg.format(train=small_data / "train.jsonl", vocab=vocab, ckpt=ckpt) for arg in argv]
     capsys.readouterr()
     try:
         rc = main([*argv, "--out", str(out)])

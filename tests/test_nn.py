@@ -25,8 +25,6 @@ from unifilter.nn import (
     softmax_rows,
     transformer_block,
     transformer_block_backward,
-    transformer_block_last_row,
-    transformer_block_last_row_backward,
 )
 
 GRAD_TOL = 1e-4
@@ -136,6 +134,7 @@ def test_attention_matches_boolean_mask_reference(n):
     p = _attn_params(rng, d)
     x = rng.normal(size=(n, d))
     out, cache = causal_self_attention(x, p, n_heads=n_heads)
+    last, last_cache = causal_self_attention(x, p, n_heads=n_heads, last_only=True)
 
     # straight-line reference: separate arrays, boolean-mask assignment
     dh = d // n_heads
@@ -149,6 +148,10 @@ def test_attention_matches_boolean_mask_reference(n):
 
     assert np.array_equal(cache[6], attn)
     assert np.array_equal(out, expected)
+    # the last row alone needs no mask; it equals the reference up to rounding
+    assert last.shape == (1, d)
+    assert np.allclose(last_cache[6], attn[:, -1:], rtol=0.0, atol=1e-12)
+    assert np.allclose(last, expected[-1:], rtol=0.0, atol=1e-12)
 
 
 def test_attention_gradients():
@@ -179,47 +182,25 @@ def _block_params(rng, d):
     return p
 
 
-def test_transformer_block_gradients():
+@pytest.mark.parametrize("n, last_only", [(4, False), (1, True), (2, True), (9, True)],
+                         ids=["all-rows-4", "last-row-1", "last-row-2", "last-row-9"])
+def test_transformer_block_gradients(n, last_only):
     rng = _rng(7)
-    d, n = 8, 4
+    d = 8
     params = _block_params(rng, d)
     params["x"] = rng.normal(size=(n, d))
+    if last_only:  # the one-row case is the full block's last row
+        block_p = {k: v for k, v in params.items() if k != "x"}
+        full, _ = transformer_block(params["x"], block_p, n_heads=2)
+        last, _ = transformer_block(params["x"], block_p, n_heads=2, last_only=True)
+        assert last.shape == (1, d)
+        assert np.allclose(last[0], full[-1], rtol=0.0, atol=1e-12)
 
     def f(p):
         block_p = {k: v for k, v in p.items() if k != "x"}
-        y, cache = transformer_block(p["x"], block_p, n_heads=2)
+        y, cache = transformer_block(p["x"], block_p, n_heads=2, last_only=last_only)
         loss = float((y ** 2).sum())
         dx, grads = transformer_block_backward(2.0 * y, cache)
-        grads["x"] = dx
-        return loss, grads
-
-    assert grad_check(f, params) < GRAD_TOL
-
-
-@pytest.mark.parametrize("n", [1, 2, 9])
-def test_transformer_block_last_row_matches_the_training_block(n):
-    rng = _rng(11)
-    d = 8
-    p = _block_params(rng, d)
-    x = rng.normal(size=(n, d))
-    full, _ = transformer_block(x, p, n_heads=2)
-    last, _ = transformer_block_last_row(x, p, n_heads=2)
-    assert last.shape == (1, d)
-    assert np.allclose(last[0], full[-1], rtol=0.0, atol=1e-12)
-
-
-@pytest.mark.parametrize("n", [1, 2, 9])
-def test_transformer_block_last_row_gradients(n):
-    rng = _rng(14)
-    d = 8
-    params = _block_params(rng, d)
-    params["x"] = rng.normal(size=(n, d))
-
-    def f(p):
-        block_p = {k: v for k, v in p.items() if k != "x"}
-        y, cache = transformer_block_last_row(p["x"], block_p, n_heads=2)
-        loss = float((y ** 2).sum())
-        dx, grads = transformer_block_last_row_backward(2.0 * y, cache)
         assert dx.shape == (n, d)
         grads["x"] = dx
         return loss, grads
