@@ -8,6 +8,7 @@ two-pass work at desk scale.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import math
 import time
@@ -314,38 +315,67 @@ def _bench_corpus(size: int, seed: int) -> list[CaptionSample]:
     return samples
 
 
+# Shortest timed repeat of the bench.  One pass over a small corpus lasts
+# tens of milliseconds, shorter than the speed swings of a shared machine, so
+# small corpora are timed over several passes per repeat.
+_MIN_REPEAT_S = 2.0
+
+
 def throughput_bench(model, sizes: list[int], batch_sizes: list[int],
                      seed: int = 0, repeats: int = 3) -> dict:
     """Wall-clock samples/s for each (corpus size, batch size) pair.
 
-    Times the scoring path on synthetic caption corpora and reports the
-    median over repeats.  Absolute numbers are hardware-specific; the report
-    exists for relative comparisons on one machine.
+    Times the scoring path on synthetic caption corpora.  Each repeat scores
+    every corpus with every batch size in turn, `passes` times over, and
+    records each pair's mean pass time; a row reports the median over
+    repeats.  Taking the pairs in turn lets a slow spell of the machine fall
+    on all of them alike.  `passes` is the fewest that make a repeat last
+    _MIN_REPEAT_S, judged from one untimed warm-up round.  The garbage
+    collector is off inside each timed pass, as in `timeit`.  Absolute
+    numbers are hardware-specific; the report exists for relative
+    comparisons on one machine.
     """
     if repeats < 1:
         raise DataError(f"repeats must be >= 1, got {repeats}")
+    corpora = {size: _bench_corpus(size, seed) for size in set(sizes)}
+    pairs = [(size, batch_size) for size in sorted(sizes) for batch_size in batch_sizes]
+
+    def timed_pass(size: int, batch_size: int) -> float:
+        cfg = FilterConfig(batch_size=batch_size)
+        gc.disable()
+        try:
+            start = time.perf_counter()
+            scored, rejects = score_corpus(corpora[size], model, cfg)
+            elapsed = time.perf_counter() - start
+        finally:
+            gc.enable()
+        if rejects:
+            raise DataError(f"bench corpus produced {len(rejects)} rejects")
+        if len(scored) != size:
+            raise DataError(f"bench scored {len(scored)} of {size} records")
+        return elapsed
+
+    warm_round_s = sum(timed_pass(*pair) for pair in pairs)
+    passes = max(1, math.ceil(_MIN_REPEAT_S / max(warm_round_s, 1e-3)))
+    times: list[list[float]] = [[] for _ in pairs]
+    for _ in range(repeats):
+        totals = [0.0] * len(pairs)
+        for _ in range(passes):
+            for i, pair in enumerate(pairs):
+                totals[i] += timed_pass(*pair)
+        for pair_times, total in zip(times, totals):
+            pair_times.append(total / passes)
     rows = []
-    for size in sorted(sizes):
-        corpus = _bench_corpus(size, seed)
-        for batch_size in batch_sizes:
-            cfg = FilterConfig(batch_size=batch_size)
-            times = []
-            for _ in range(repeats):
-                start = time.perf_counter()
-                scored, rejects = score_corpus(corpus, model, cfg)
-                times.append(time.perf_counter() - start)
-                if rejects:
-                    raise DataError(f"bench corpus produced {len(rejects)} rejects")
-                if len(scored) != size:
-                    raise DataError(f"bench scored {len(scored)} of {size} records")
-            median_t = float(np.median(times))
-            rows.append({
-                "corpus_size": size,
-                "batch_size": batch_size,
-                "wall_time_s": median_t,
-                "samples_per_s": size / median_t,
-                "repeats": repeats,
-            })
+    for (size, batch_size), pair_times in zip(pairs, times):
+        median_t = float(np.median(pair_times))
+        rows.append({
+            "corpus_size": size,
+            "batch_size": batch_size,
+            "wall_time_s": median_t,
+            "samples_per_s": size / median_t,
+            "repeats": repeats,
+            "passes": passes,
+        })
     return {
         "precision": "float64",
         "model_config": asdict(model.config),

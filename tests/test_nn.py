@@ -182,19 +182,11 @@ def _block_params(rng, d):
     return p
 
 
-@pytest.mark.parametrize("n, last_only", [(4, False), (1, True), (2, True), (9, True)],
-                         ids=["all-rows-4", "last-row-1", "last-row-2", "last-row-9"])
-def test_transformer_block_gradients(n, last_only):
-    rng = _rng(7)
+def _block_grad_error(rng, n, last_only):
+    """Grad-check error of the block (all rows or the last row) on n rows."""
     d = 8
     params = _block_params(rng, d)
     params["x"] = rng.normal(size=(n, d))
-    if last_only:  # the one-row case is the full block's last row
-        block_p = {k: v for k, v in params.items() if k != "x"}
-        full, _ = transformer_block(params["x"], block_p, n_heads=2)
-        last, _ = transformer_block(params["x"], block_p, n_heads=2, last_only=True)
-        assert last.shape == (1, d)
-        assert np.allclose(last[0], full[-1], rtol=0.0, atol=1e-12)
 
     def f(p):
         block_p = {k: v for k, v in p.items() if k != "x"}
@@ -205,7 +197,28 @@ def test_transformer_block_gradients(n, last_only):
         grads["x"] = dx
         return loss, grads
 
-    assert grad_check(f, params) < GRAD_TOL
+    return grad_check(f, params)
+
+
+def test_transformer_block_gradients():
+    assert _block_grad_error(_rng(7), 4, last_only=False) < GRAD_TOL
+
+
+@pytest.mark.parametrize("n", [1, 2, 9])
+def test_transformer_block_last_row_matches_the_training_block(n):
+    rng = _rng(11)
+    d = 8
+    p = _block_params(rng, d)
+    x = rng.normal(size=(n, d))
+    full, _ = transformer_block(x, p, n_heads=2)
+    last, _ = transformer_block(x, p, n_heads=2, last_only=True)
+    assert last.shape == (1, d)
+    assert np.allclose(last[0], full[-1], rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 9])
+def test_transformer_block_last_row_gradients(n):
+    assert _block_grad_error(_rng(14), n, last_only=True) < GRAD_TOL
 
 
 def test_grad_check_detects_a_corrupted_gradient():
