@@ -34,7 +34,8 @@ from .encoder import (EncoderConfig, adaptive_avg_pool_2d, init_projector, patch
 from .nn import (AdamConfig, Params, adam_init, adam_step, layer_norm, layer_norm_backward,
                  save_tensors, load_tensors, transformer_block, transformer_block_backward)
 from .packing import Vocab, build_vocab, tokenize
-from .records import CaptionSample, DocItem, InterleavedDoc, LabeledSample, unwrap
+from .metrics import evaluate, quantize_score
+from .records import LabeledSample, as_document
 
 CHECKPOINT_KIND = "quality-model"
 
@@ -148,16 +149,10 @@ def assemble(record, cfg: ModelConfig, vocab: Vocab, params: Params,
     A caption is the one-image document [image, text].  Text is truncated
     from the right, document-wide, until the sequence fits max_seq_len.
     """
-    record = unwrap(record)
-    if isinstance(record, CaptionSample):
-        if not record.text.strip():
-            raise DataError(f"caption {record.id!r} has empty text")
-        items = [DocItem(kind="image", image=record.image),
-                 DocItem(kind="text", text=record.text)]
-    elif isinstance(record, InterleavedDoc):
-        items = record.items
-    else:
-        raise DataError(f"cannot assemble record of type {type(record).__name__}")
+    record = as_document(record)
+    if record.modality == "caption" and not record.text.strip():
+        raise DataError(f"caption {record.id!r} has empty text")
+    items = record.items
     t2 = cfg.encoder.tokens_per_image()
     n_images = sum(1 for item in items if item.kind == "image")
     if n_images * t2 > cfg.max_seq_len:
@@ -299,18 +294,8 @@ def load_model(path) -> QualityModel:
 # --- training ----------------------------------------------------------------------
 
 
-def _record_texts(sample: LabeledSample):
-    rec = sample.record
-    if isinstance(rec, CaptionSample):
-        yield rec.text
-    else:
-        yield from rec.texts()
-
-
 def validation_accuracy(model: QualityModel, samples: list[LabeledSample], pooled_cache=None):
     """Quantized accuracy and macro F1 on labeled samples."""
-    from .metrics import evaluate, quantize_score
-
     pairs = []
     for s in samples:
         pred = quantize_score(model.score_record(s, pooled_cache))
@@ -331,7 +316,7 @@ def train(train_samples: list[LabeledSample], val_samples: list[LabeledSample],
         raise DataError("need non-empty train and validation splits")
 
     vocab = build_vocab(
-        (t for s in train_samples for t in _record_texts(s)), tcfg.vocab_min_count)
+        (t for s in train_samples for t in s.record.texts()), tcfg.vocab_min_count)
     rng = child_rng(seed, "train-init")
     params = init_params(cfg, len(vocab), rng)
 

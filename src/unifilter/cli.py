@@ -25,7 +25,7 @@ from .common import (DataError, NumericError, __version__, check_counts, check_f
 from .encoder import EncoderConfig
 from .filtering import FilterConfig
 from .packing import Vocab, pack, write_packed
-from .records import CaptionSample, InterleavedDoc, read_records, unwrap, write_records
+from .records import as_document, read_records, write_records
 
 THREADS_ENV = "UNIFILTER_THREADS"
 
@@ -115,8 +115,7 @@ def cmd_gen(args):
 
     nonsyn = None
     if args.nonsyn_positives:
-        nonsyn = [r for r in _read_all(args.nonsyn_positives, "caption")
-                  if isinstance(r, CaptionSample)]
+        nonsyn = _read_all(args.nonsyn_positives, "caption")
 
     train_s, val_s, report = synthgen.build_dataset(
         images, docs, counts, nonsyn_positives=nonsyn,
@@ -145,12 +144,12 @@ def cmd_cluster(args):
         raise DataError(f"{args.embeddings_from}: no records to cluster")
     enc_cfg = EncoderConfig()
     ids, vecs = [], []
-    for rec in map(unwrap, records):
+    for rec in map(as_document, records):
         ids.append(rec.id)
-        if isinstance(rec, InterleavedDoc):
-            vecs.append(clustering.doc_embedding(rec, enc_cfg))
-        else:
+        if rec.modality == "caption":   # doc_embedding would normalise the vector again
             vecs.append(clustering.image_embedding(rec.image, enc_cfg))
+        else:
+            vecs.append(clustering.doc_embedding(rec, enc_cfg))
     matrix = clustering.EmbeddingMatrix(ids=ids, vecs=np.stack(vecs))
     result = clustering.kmeans(matrix, kcfg)
     selected = clustering.sample_per_cluster(ids, result.assignments, scfg)
@@ -269,8 +268,8 @@ def cmd_filter(args):
 
 
 def cmd_dfn_filter(args):
-    records = [unwrap(r) for r in _read_all(getattr(args, "in"), "auto")]
-    bad = next((r for r in records if not isinstance(r, InterleavedDoc)), None)
+    records = [as_document(r) for r in _read_all(getattr(args, "in"), "auto")]
+    bad = next((r for r in records if r.modality != "interleaved"), None)
     if bad is not None:
         raise DataError(f"record {bad.id!r} is not an interleaved document")
     kept, rejects = filtering.dfn_filter_corpus(records, threshold=args.threshold)
@@ -284,7 +283,7 @@ def cmd_dfn_filter(args):
 
 
 def cmd_pack(args):
-    records = [unwrap(r) for r in _read_all(getattr(args, "in"), "auto")]
+    records = _read_all(getattr(args, "in"), "auto")
     vocab = Vocab.load(args.vocab)
     seqs = pack(records, args.context_len, vocab, args.t,
                 caption_chunk_marker=args.caption_chunk_marker)

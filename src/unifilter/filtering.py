@@ -18,16 +18,10 @@ from functools import cache
 
 import numpy as np
 
-from .common import DataError, child_rng
+from .common import DataError, check_counts, child_rng
 from .encoder import EncoderConfig, patchify_embed
 from .packing import tokenize_words
-from .records import (
-    CaptionSample,
-    ImagePayload,
-    InterleavedDoc,
-    ScoredRecord,
-    unwrap,
-)
+from .records import CaptionSample, ImagePayload, InterleavedDoc, ScoredRecord, as_document
 
 
 @dataclass
@@ -36,14 +30,7 @@ class FilterConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise DataError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.workers < 1:
-            raise DataError(f"workers must be >= 1, got {self.workers}")
-
-
-def _modality(record) -> str:
-    return "interleaved" if isinstance(record, InterleavedDoc) else "caption"
+        check_counts(self, "batch_size", "workers")
 
 
 def score_corpus(records: list, model, cfg: FilterConfig | None = None,
@@ -58,30 +45,28 @@ def score_corpus(records: list, model, cfg: FilterConfig | None = None,
     worker count.
     """
     cfg = cfg or FilterConfig()
+    docs = [as_document(rec) for rec in records]
     seen: set[str] = set()
-    for rec in records:
-        rid = unwrap(rec).id
-        if rid in seen:
-            raise DataError(f"duplicate record id {rid!r}")
-        seen.add(rid)
+    for doc in docs:
+        if doc.id in seen:
+            raise DataError(f"duplicate record id {doc.id!r}")
+        seen.add(doc.id)
 
     def score_batch(batch: list):
         out = []
-        for rec in batch:
-            raw = unwrap(rec)
+        for doc in batch:
             try:
-                score = model.score_record(raw)
+                score = model.score_record(doc)
             except DataError as exc:
-                out.append((None, {"id": raw.id, "error": str(exc)}))
+                out.append((None, {"id": doc.id, "error": str(exc)}))
             else:
                 if math.isfinite(score):
-                    out.append((ScoredRecord(id=raw.id, score=score,
-                                             modality=_modality(raw)), None))
+                    out.append((ScoredRecord(id=doc.id, score=score, modality=doc.modality), None))
                 else:
-                    out.append((None, {"id": raw.id, "error": "non-finite score"}))
+                    out.append((None, {"id": doc.id, "error": "non-finite score"}))
         return out
 
-    batches = [records[i:i + cfg.batch_size] for i in range(0, len(records), cfg.batch_size)]
+    batches = [docs[i:i + cfg.batch_size] for i in range(0, len(docs), cfg.batch_size)]
     if cfg.workers > 1:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
             batch_results = list(pool.map(score_batch, batches))
@@ -125,7 +110,7 @@ def select_top_fraction(scores: list[ScoredRecord], records: list,
         if s.id in by_id:
             raise DataError(f"duplicate score for id {s.id!r}")
         by_id[s.id] = s.score
-    record_ids = [unwrap(r).id for r in records]
+    record_ids = [as_document(r).id for r in records]
     missing = [rid for rid in record_ids if rid not in by_id]
     if missing:
         raise DataError(f"no score for record id {missing[0]!r}")
@@ -135,7 +120,7 @@ def select_top_fraction(scores: list[ScoredRecord], records: list,
 
     m = _retain_count(len(records), fraction)
     keep = set(_ranked_ids(scores)[:m])
-    return [r for r in records if unwrap(r).id in keep]
+    return [r for r, rid in zip(records, record_ids) if rid in keep]
 
 
 def threshold_for_fraction(scores: list[ScoredRecord], fraction: float) -> float:
@@ -254,23 +239,13 @@ class CorpusStats:
             raise DataError(f"retained_fraction must be in [0, 1], got {self.retained_fraction}")
 
     def to_obj(self) -> dict:
-        return {
-            "n_records": self.n_records,
-            "avg_images_per_doc": self.avg_images_per_doc,
-            "avg_text_len": self.avg_text_len,
-            "avg_doc_len": self.avg_doc_len,
-            "retained_fraction": self.retained_fraction,
-        }
+        return asdict(self)
 
 
 def _record_counts(record) -> tuple[int, int]:
     """(n_images, n_words) for a caption sample or interleaved doc."""
-    raw = unwrap(record)
-    if isinstance(raw, CaptionSample):
-        return 1, len(raw.text.split())
-    if isinstance(raw, InterleavedDoc):
-        return len(raw.images()), sum(len(t.split()) for t in raw.texts())
-    raise DataError(f"cannot compute stats for {type(raw).__name__}")
+    doc = as_document(record)
+    return len(doc.images()), sum(len(t.split()) for t in doc.texts())
 
 
 def corpus_stats(records: list, image_token_equiv: int = 144,

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import erf
 
-from .common import NumericError
+from .common import DataError, NumericError, dump_json_line, read_json_file
 
 Params = dict[str, np.ndarray]
 
@@ -330,8 +330,6 @@ def save_tensors(path, tensors: Params, meta: dict | None = None) -> None:
     Written as one compact line, which the C JSON encoder handles; indented
     output would fall back to the much slower pure-Python encoder.
     """
-    from .common import dump_json_line
-
     obj = {
         "format": TENSOR_FORMAT,
         "meta": meta or {},
@@ -346,8 +344,6 @@ def save_tensors(path, tensors: Params, meta: dict | None = None) -> None:
 
 def load_tensors(path):
     """Returns (tensors, meta).  Refuses files with an unknown format header."""
-    from .common import DataError, read_json_file
-
     obj = read_json_file(path)
     if obj.get("format") != TENSOR_FORMAT:
         raise DataError(f"{path}: unknown checkpoint format {obj.get('format')!r}")

@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .common import DataError, dump_json_line, read_json_file, write_json_file
-from .records import CaptionSample, DocItem, InterleavedDoc
+from .records import as_document
 
 PAD_ID = 0
 UNK_ID = 1
@@ -121,17 +121,12 @@ def flatten_doc(record, vocab: Vocab, t: int, caption_chunk_marker: bool = False
     preceded by end_of_chunk; caption images only when caption_chunk_marker
     is set.
     """
-    if isinstance(record, CaptionSample):
-        items = [DocItem(kind="image", image=record.image), DocItem(kind="text", text=record.text)]
-        marker = caption_chunk_marker
-    elif isinstance(record, InterleavedDoc):
-        items, marker = record.items, True
-    else:
-        raise DataError(f"cannot flatten record of type {type(record).__name__}")
+    record = as_document(record)
+    marker = caption_chunk_marker or record.modality == "interleaved"
     image_unit = ([END_OF_CHUNK_ID] if marker else []) + [IMAGE_PLACEHOLDER_ID] * (t * t)
     segments: list[tuple] = []
     n_images = 0
-    for item in items:
+    for item in record.items:
         if item.kind == "text":
             segments.append(("text", tokenize(item.text, vocab)))
         else:

@@ -14,9 +14,16 @@ the two:
   {"pixels": {"shape": [c,h,w], "data": [...]}}
   {"patch_grid": {"h": H, "w": W, "dim": D, "data": [...]}}
 
+A caption reads as the one-image document [image, text] everywhere: it has
+the same items, images() and texts() as an interleaved document, and
+as_document is the one check that a record is either.  Stages that read both
+kinds use that interface, and the few caption rules that differ (packing's
+optional chunk marker, say) read the modality attribute, not the type.
+
 Floats are written with repr precision, so write -> read -> write is byte
-stable.  The reader validates each line and raises SchemaError, naming the
-line, on the first malformed one.
+stable.  The reader validates each line and raises SchemaError on the first
+malformed one; decode_record is the one place that attaches the line number,
+so every malformed line is reported with it.
 """
 
 from __future__ import annotations
@@ -26,10 +33,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .common import SchemaError, dump_json_line
+from .common import DataError, SchemaError, dump_json_line
 
 LEVEL_NAMES = {0: "easy_negative", 1: "medium_negative", 2: "hard_negative", 3: "positive"}
-LEVEL_IDS = {name: lid for lid, name in LEVEL_NAMES.items()}
 
 
 # --- payloads ----------------------------------------------------------------
@@ -80,50 +86,28 @@ class ImagePayload:
         return {"patch_grid": {"h": h, "w": w, "dim": d, "data": self.patches.ravel().tolist()}}
 
     @staticmethod
-    def from_obj(obj, line_no: int | None = None) -> "ImagePayload":
+    def from_obj(obj) -> "ImagePayload":
         if not isinstance(obj, dict):
-            raise SchemaError("image payload must be an object", line_no)
+            raise SchemaError("image payload must be an object")
         has_px = "pixels" in obj
-        has_pg = "patch_grid" in obj
-        if has_px == has_pg:
-            raise SchemaError("image payload needs exactly one of pixels / patch_grid", line_no)
-        try:
-            if has_px:
-                spec = obj["pixels"]
-                shape = tuple(spec["shape"])
-                data = np.asarray(spec["data"], dtype=np.float64)
-                if len(shape) != 3 or data.size != int(np.prod(shape)):
-                    raise SchemaError(f"pixels declared shape {shape} does not match {data.size} values", line_no)
-                return ImagePayload(pixels=data.reshape(shape))
-            spec = obj["patch_grid"]
-            h, w, d = int(spec["h"]), int(spec["w"]), int(spec["dim"])
+        if has_px == ("patch_grid" in obj):
+            raise SchemaError("image payload needs exactly one of pixels / patch_grid")
+        if has_px:
+            spec = obj["pixels"]
+            shape = tuple(spec["shape"])
             data = np.asarray(spec["data"], dtype=np.float64)
-            if data.size != h * w * d:
-                raise SchemaError(f"patch_grid declared {h}x{w}x{d} does not match {data.size} values", line_no)
-            return ImagePayload(patches=data.reshape(h, w, d))
-        except SchemaError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"bad image payload: {exc}", line_no) from exc
+            if len(shape) != 3 or data.size != int(np.prod(shape)):
+                raise SchemaError(f"pixels declared shape {shape} does not match {data.size} values")
+            return ImagePayload(pixels=data.reshape(shape))
+        spec = obj["patch_grid"]
+        h, w, d = int(spec["h"]), int(spec["w"]), int(spec["dim"])
+        data = np.asarray(spec["data"], dtype=np.float64)
+        if data.size != h * w * d:
+            raise SchemaError(f"patch_grid declared {h}x{w}x{d} does not match {data.size} values")
+        return ImagePayload(patches=data.reshape(h, w, d))
 
 
 # --- records -----------------------------------------------------------------
-
-
-@dataclass
-class CaptionSample:
-    id: str
-    image: ImagePayload
-    text: str
-
-    def validate(self, line_no: int | None = None):
-        if not self.id:
-            raise SchemaError("caption record has empty id", line_no)
-        if not self.text.strip():
-            raise SchemaError(f"caption {self.id!r} has empty text", line_no)
-
-    def to_obj(self) -> dict:
-        return {"id": self.id, "image": self.image.to_obj(), "text": self.text}
 
 
 @dataclass
@@ -134,24 +118,52 @@ class DocItem:
 
 
 @dataclass
+class CaptionSample:
+    """One image and its text: the document [image, text]."""
+
+    id: str
+    image: ImagePayload
+    text: str
+    modality = "caption"
+
+    @property
+    def items(self) -> list[DocItem]:
+        return [DocItem(kind="image", image=self.image), DocItem(kind="text", text=self.text)]
+
+    def images(self) -> list[ImagePayload]:
+        return [self.image]
+
+    def texts(self) -> list[str]:
+        return [self.text]
+
+    def validate(self):
+        if not self.id:
+            raise SchemaError("caption record has empty id")
+        if not self.text.strip():
+            raise SchemaError(f"caption {self.id!r} has empty text")
+
+    def to_obj(self) -> dict:
+        return {"id": self.id, "image": self.image.to_obj(), "text": self.text}
+
+
+@dataclass
 class InterleavedDoc:
     id: str
     items: list[DocItem] = field(default_factory=list)
+    modality = "interleaved"
 
-    def validate(self, line_no: int | None = None):
+    def validate(self):
         if not self.id:
-            raise SchemaError("interleaved record has empty id", line_no)
+            raise SchemaError("interleaved record has empty id")
         n_img = sum(1 for it in self.items if it.kind == "image")
         n_txt = sum(1 for it in self.items if it.kind == "text")
         if n_img < 1 or n_txt < 1:
             raise SchemaError(
                 f"doc {self.id!r} needs at least one image and one text item "
-                f"(got {n_img} images, {n_txt} texts)",
-                line_no,
-            )
+                f"(got {n_img} images, {n_txt} texts)")
         for it in self.items:
             if it.kind == "text" and not (it.text or "").strip():
-                raise SchemaError(f"doc {self.id!r} has an empty text item", line_no)
+                raise SchemaError(f"doc {self.id!r} has an empty text item")
 
     def images(self) -> list[ImagePayload]:
         return [it.image for it in self.items if it.kind == "image"]
@@ -178,16 +190,14 @@ class LabeledSample:
 
     @property
     def modality(self) -> str:
-        return "caption" if isinstance(self.record, CaptionSample) else "interleaved"
+        return self.record.modality
 
-    def validate(self, line_no: int | None = None):
-        if self.label not in LEVEL_NAMES:
-            raise SchemaError(f"label out of range: {self.label}", line_no)
+    def validate(self):
+        if type(self.label) is not int or self.label not in LEVEL_NAMES:   # no bool, no float
+            raise SchemaError(f"label out of range: {self.label!r}")
         if LEVEL_NAMES[self.label] != self.level_name:
-            raise SchemaError(
-                f"label {self.label} does not match level_name {self.level_name!r}", line_no
-            )
-        self.record.validate(line_no)
+            raise SchemaError(f"label {self.label} does not match level_name {self.level_name!r}")
+        self.record.validate()
 
     def to_obj(self) -> dict:
         return {
@@ -199,9 +209,18 @@ class LabeledSample:
         }
 
 
-def unwrap(record):
-    """The caption or document inside a LabeledSample; any other record as is."""
-    return record.record if isinstance(record, LabeledSample) else record
+def as_document(record) -> CaptionSample | InterleavedDoc:
+    """The caption or document a record is, unwrapping a LabeledSample.
+
+    Every stage that reads captions and documents alike calls this, so any
+    other record (a scored one, say) fails here with a DataError.
+    """
+    if isinstance(record, LabeledSample):
+        record = record.record
+    if not isinstance(record, (CaptionSample, InterleavedDoc)):
+        raise DataError(f"expected a caption or an interleaved document, "
+                        f"got a {type(record).__name__}")
+    return record
 
 
 @dataclass
@@ -210,87 +229,58 @@ class ScoredRecord:
     score: float
     modality: str
 
-    def validate(self, line_no: int | None = None):
+    def validate(self):
         if not self.id:
-            raise SchemaError("scored record has empty id", line_no)
+            raise SchemaError("scored record has empty id")
         if self.modality not in ("caption", "interleaved"):
-            raise SchemaError(f"bad modality {self.modality!r}", line_no)
+            raise SchemaError(f"bad modality {self.modality!r}")
         if not np.isfinite(self.score):
-            raise SchemaError(f"score for {self.id!r} is not finite", line_no)
+            raise SchemaError(f"score for {self.id!r} is not finite")
 
     def to_obj(self) -> dict:
         return {"id": self.id, "score": float(self.score), "modality": self.modality}
 
 
 # --- decoding ----------------------------------------------------------------
+# The decoders build records and raise SchemaError or let KeyError, TypeError,
+# ValueError or OverflowError escape; decode_record validates and attaches the
+# line number.
 
 
-def _decode_caption(obj, line_no=None) -> CaptionSample:
-    try:
-        rec = CaptionSample(
-            id=str(obj["id"]),
-            image=ImagePayload.from_obj(obj["image"], line_no),
-            text=str(obj["text"]),
-        )
-    except KeyError as exc:
-        raise SchemaError(f"caption record missing key {exc}", line_no) from exc
-    rec.validate(line_no)
-    return rec
+def _decode_caption(obj) -> CaptionSample:
+    return CaptionSample(id=str(obj["id"]), image=ImagePayload.from_obj(obj["image"]),
+                         text=str(obj["text"]))
 
 
-def _decode_interleaved(obj, line_no=None) -> InterleavedDoc:
-    try:
-        items = []
-        for it in obj["items"]:
-            kind = it.get("kind")
-            if kind == "text":
-                items.append(DocItem(kind="text", text=str(it["text"])))
-            elif kind == "image":
-                items.append(DocItem(kind="image", image=ImagePayload.from_obj(it["image"], line_no)))
-            else:
-                raise SchemaError(f"bad item kind {kind!r}", line_no)
-        rec = InterleavedDoc(id=str(obj["id"]), items=items)
-    except SchemaError:
-        raise
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"interleaved record malformed: {exc}", line_no) from exc
-    rec.validate(line_no)
-    return rec
-
-
-def _decode_labeled(obj, line_no=None) -> LabeledSample:
-    try:
-        kind = obj["kind"]
-        label = obj["label"]
-        if not isinstance(label, int) or label not in LEVEL_NAMES:
-            raise SchemaError(f"label out of range: {label!r}", line_no)
-        if kind == "caption":
-            inner = _decode_caption(obj["record"], line_no)
-        elif kind == "interleaved":
-            inner = _decode_interleaved(obj["record"], line_no)
+def _decode_interleaved(obj) -> InterleavedDoc:
+    items = []
+    for it in obj["items"]:
+        if not isinstance(it, dict):
+            raise SchemaError(f"doc item must be an object, got {type(it).__name__}")
+        kind = it.get("kind")
+        if kind == "text":
+            items.append(DocItem(kind="text", text=str(it["text"])))
+        elif kind == "image":
+            items.append(DocItem(kind="image", image=ImagePayload.from_obj(it["image"])))
         else:
-            raise SchemaError(f"bad record kind {kind!r}", line_no)
-        rec = LabeledSample(
-            record=inner,
-            label=label,
-            level_name=str(obj["level_name"]),
-            provenance=str(obj.get("provenance", "synthetic")),
-        )
-    except SchemaError:
-        raise
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"labeled record malformed: {exc}", line_no) from exc
-    rec.validate(line_no)
-    return rec
+            raise SchemaError(f"bad item kind {kind!r}")
+    return InterleavedDoc(id=str(obj["id"]), items=items)
 
 
-def _decode_scored(obj, line_no=None) -> ScoredRecord:
-    try:
-        rec = ScoredRecord(id=str(obj["id"]), score=float(obj["score"]), modality=str(obj["modality"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"scored record malformed: {exc}", line_no) from exc
-    rec.validate(line_no)
-    return rec
+def _decode_labeled(obj) -> LabeledSample:
+    kind = obj["kind"]
+    if kind not in ("caption", "interleaved"):
+        raise SchemaError(f"bad record kind {kind!r}")
+    return LabeledSample(
+        record=_DECODERS[kind](obj["record"]),
+        label=obj["label"],
+        level_name=str(obj["level_name"]),
+        provenance=str(obj.get("provenance", "synthetic")),
+    )
+
+
+def _decode_scored(obj) -> ScoredRecord:
+    return ScoredRecord(id=str(obj["id"]), score=float(obj["score"]), modality=str(obj["modality"]))
 
 
 _DECODERS = {
@@ -302,9 +292,23 @@ _DECODERS = {
 
 
 def decode_record(obj, kind: str, line_no: int | None = None):
+    """Decode and validate one JSON object as a record of the given kind.
+
+    Any SchemaError on the way is raised again with line_no attached; a
+    missing key, a value of the wrong type or an integer too large for a
+    float becomes a SchemaError naming the record kind.
+    """
     if kind not in _DECODERS:
         raise ValueError(f"unknown record kind {kind!r}")
-    return _DECODERS[kind](obj, line_no)
+    try:
+        rec = _DECODERS[kind](obj)
+        rec.validate()
+    except SchemaError as exc:
+        raise SchemaError(str(exc), line_no) from exc
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise SchemaError(f"{kind} record malformed: {detail}", line_no) from exc
+    return rec
 
 
 def sniff_kind(obj) -> str:

@@ -39,7 +39,7 @@ import numpy as np
 from .common import DataError, child_rng, child_seed
 from .packing import tokenize_words
 from .records import (CaptionSample, DocItem, ImagePayload, InterleavedDoc, LabeledSample,
-                      LEVEL_NAMES, unwrap)
+                      LEVEL_NAMES, as_document)
 
 EASY, MEDIUM, HARD, POSITIVE = 0, 1, 2, 3
 
@@ -211,20 +211,11 @@ def label_from_overlap(overlap: int, k: int) -> int:
 
 def keyword_overlap_label(record) -> int:
     """Recover the quality label of a mock record from keyword overlap alone."""
-    record = unwrap(record)
-    if isinstance(record, CaptionSample):
-        tokens = set(tokenize_words(record.text))
-        overlap = sum(1 for w in derive_keywords(record.image) if w in tokens)
-        return label_from_overlap(overlap, KEYWORDS_PER_IMAGE)
-    if isinstance(record, InterleavedDoc):
-        tokens = set(tokenize_words(" ".join(record.texts())))
-        per_image = [
-            sum(1 for w in derive_keywords(img) if w in tokens)
-            for img in record.images()
-        ]
-        mean = sum(per_image) / len(per_image)
-        return label_from_overlap(int(round(mean)), KEYWORDS_PER_IMAGE)
-    raise DataError(f"cannot label record of type {type(record).__name__}")
+    record = as_document(record)
+    tokens = set(tokenize_words(" ".join(record.texts())))
+    per_image = [sum(1 for w in derive_keywords(img) if w in tokens) for img in record.images()]
+    mean = sum(per_image) / len(per_image)
+    return label_from_overlap(int(round(mean)), KEYWORDS_PER_IMAGE)
 
 
 # --- mock text rendering ---------------------------------------------------------------

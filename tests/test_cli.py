@@ -13,6 +13,7 @@ from unifilter.classifier import ModelConfig, QualityModel, init_params, save_mo
 from unifilter.cli import main
 from unifilter.common import child_rng
 from unifilter.packing import Vocab
+from unifilter.records import ScoredRecord, write_records
 
 TINY_CFG = {
     "encoder": {"patch_size": 4, "d_v": 8, "t": 4, "d": 16, "seed": 0},
@@ -249,9 +250,13 @@ def test_bad_train_config_exits_3_without_a_checkpoint(tmp_path, capsys, small_d
     (["pack", "--in", "{train}", "--vocab", "{vocab}", "--t", "0"], 3),
     (["stats", "--in", "{train}", "--image-token-equiv", "-5"], 3),
     (["bench", "--checkpoint", "{ckpt}", "--sizes", "0"], 3),
+    (["cluster", "--embeddings-from", "{scores}", "--k", "1"], 3),
+    (["stats", "--in", "{scores}"], 3),
+    (["pack", "--in", "{scores}", "--vocab", "{vocab}"], 3),
 ], ids=["gen-seed-negative", "gen-val-fraction-2", "gen-val-fraction-negative",
         "gen-levels-count-negative", "cluster-per-cluster-negative", "cluster-per-cluster-0",
-        "pack-t-0", "stats-image-token-equiv-negative", "bench-sizes-0"])
+        "pack-t-0", "stats-image-token-equiv-negative", "bench-sizes-0",
+        "cluster-on-scores", "stats-on-scores", "pack-on-scores"])
 def test_out_of_range_inputs_exit_cleanly_without_output(tmp_path, capsys, small_data,
                                                          argv, code):
     vocab = tmp_path / "vocab.json"
@@ -259,8 +264,11 @@ def test_out_of_range_inputs_exit_cleanly_without_output(tmp_path, capsys, small
     ckpt = tmp_path / "model.json"
     cfg = ModelConfig(**{k: v for k, v in TINY_CFG.items() if k not in ("batch_size", "peak_lr")})
     save_model(ckpt, QualityModel(cfg, Vocab(words=["fox"]), init_params(cfg, 5, child_rng(0))))
+    scores = tmp_path / "scores.jsonl"
+    write_records(scores, [ScoredRecord(id="s", score=1.0, modality="caption")])
     out = tmp_path / "out"
-    argv = [arg.format(train=small_data / "train.jsonl", vocab=vocab, ckpt=ckpt) for arg in argv]
+    argv = [arg.format(train=small_data / "train.jsonl", vocab=vocab, ckpt=ckpt, scores=scores)
+            for arg in argv]
     capsys.readouterr()
     try:
         rc = main([*argv, "--out", str(out)])

@@ -91,6 +91,9 @@ def test_labeled_and_scored_roundtrip(tmp_path):
 def test_label_level_name_consistency():
     with pytest.raises(SchemaError):
         LabeledSample(record=_doc(), label=3, level_name="easy_negative").validate()
+    for label in (True, 1.0):  # equal to 1 but not an integer label
+        with pytest.raises(SchemaError, match="label out of range"):
+            LabeledSample(record=_doc(), label=label, level_name="medium_negative").validate()
 
 
 def test_sniff_kind():
@@ -114,17 +117,26 @@ def test_auto_kind_reads_mixed_file(tmp_path):
 def test_strict_mode_raises_on_first_bad_line(tmp_path):
     good = json.dumps(CaptionSample(id="ok", image=_pixels(), text="fine").to_obj())
     no_text = '{"id": "no-text", "image": {"pixels": {"shape": [1,1,1], "data": [0.0]}}}'
+    nan_pixels = '{"id": "nan", "text": "t", "image": {"pixels": {"shape": [1,1,1], "data": [NaN]}}}'
+    inf_grid = ('{"id": "inf", "text": "t", '
+                '"image": {"patch_grid": {"h": 1, "w": 1, "dim": 1, "data": [Infinity]}}}')
+    item_not_object = '{"id": "d", "items": [5]}'
+    huge_score = '{"id": "s", "score": 1' + "0" * 400 + ', "modality": "caption"}'
     cases = [
         (['{"id": 42}'], 1),
         (["{not json", good], 1),          # invalid JSON
         ([good, "[1, 2]"], 2),             # valid JSON, not an object
         ([good, good, no_text, good], 3),  # missing key after good lines
+        ([good, nan_pixels], 2),           # non-finite pixels
+        ([good, good, inf_grid], 3),       # non-finite patch grid
+        ([good, item_not_object], 2),      # a document item that is not an object
+        ([huge_score], 1),                 # an integer too large for a float
     ]
     path = tmp_path / "bad.jsonl"
     for lines, line_no in cases:
         path.write_text("".join(line + "\n" for line in lines))
         with pytest.raises(SchemaError, match=f"^line {line_no}:"):
-            list(read_records(path, "caption"))
+            list(read_records(path, "auto"))
 
 
 def test_pixels_shape_must_match_data_length():
