@@ -18,7 +18,7 @@ from unifilter.records import InterleavedDoc, read_records, write_records
 CONFIG = {
     "encoder": {"patch_size": 4, "d_v": 8, "t": 4, "d": 16, "seed": 0},
     "d": 16, "n_layers": 1, "n_heads": 2, "max_seq_len": 128,
-    "batch_size": 8, "peak_lr": 1e-3,
+    "batch_size": 8, "peak_lr": 3e-3,
 }
 
 
@@ -44,7 +44,7 @@ def main_demo():
     ckpt = root / "model.json"
     step("train", ["train", "--train", str(data / "train.jsonl"),
                    "--val", str(data / "val.jsonl"), "--epochs", "12",
-                   "--peak-lr", "3e-3", "--config", str(cfg), "--seed", "5",
+                   "--config", str(cfg), "--seed", "5",
                    "--out-checkpoint", str(ckpt)])
 
     step("eval", ["eval", "--checkpoint", str(ckpt),

@@ -60,23 +60,14 @@ class ModelConfig:
 
 @dataclass
 class TrainConfig:
+    """Every other optimizer constant is an nn.AdamConfig default."""
     epochs: int = 10
     batch_size: int = 16
     peak_lr: float = 3e-5
-    warmup_frac: float = 0.03
-    weight_decay: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.98
-    eps: float = 1e-8
-    vocab_min_count: int = 1
 
     def __post_init__(self):
-        check_counts(self, "epochs", "batch_size", "vocab_min_count")
-        for name in ("peak_lr", "eps"):
-            check_field(self, name, lambda v: v > 0, "a finite number > 0")
-        check_field(self, "weight_decay", lambda v: v >= 0, "a finite number >= 0")
-        for name in ("warmup_frac", "beta1", "beta2"):
-            check_field(self, name, lambda v: 0 <= v < 1, "a number in [0, 1)")
+        check_counts(self, "epochs", "batch_size")
+        check_field(self, "peak_lr", lambda v: v > 0, "a finite number > 0")
 
 
 def init_params(cfg: ModelConfig, vocab_size: int, rng: np.random.Generator) -> Params:
@@ -315,16 +306,13 @@ def train(train_samples: list[LabeledSample], val_samples: list[LabeledSample],
     if not train_samples or not val_samples:
         raise DataError("need non-empty train and validation splits")
 
-    vocab = build_vocab(
-        (t for s in train_samples for t in s.record.texts()), tcfg.vocab_min_count)
+    vocab = build_vocab(t for s in train_samples for t in s.record.texts())
     rng = child_rng(seed, "train-init")
     params = init_params(cfg, len(vocab), rng)
 
     n = len(train_samples)
     steps_per_epoch = math.ceil(n / tcfg.batch_size)
-    acfg = AdamConfig(peak_lr=tcfg.peak_lr, warmup_frac=tcfg.warmup_frac,
-                      beta1=tcfg.beta1, beta2=tcfg.beta2, weight_decay=tcfg.weight_decay,
-                      total_steps=tcfg.epochs * steps_per_epoch, eps=tcfg.eps)
+    acfg = AdamConfig(peak_lr=tcfg.peak_lr, total_steps=tcfg.epochs * steps_per_epoch)
     state = adam_init(params, acfg)
 
     pooled_cache: dict = {}

@@ -109,9 +109,8 @@ def _csv_ints(text: str) -> list[int]:
 def cmd_gen(args):
     out_dir = Path(args.out)
     counts = {level: args.levels_count for level in range(4)}
-    n_caps = args.caption_images if args.caption_images is not None else 4 * args.levels_count
-    n_docs = args.docs if args.docs is not None else 4 * args.levels_count
-    images, docs = synthgen.make_mock_sources(n_caps, n_docs, args.seed)
+    n_pool = 4 * args.levels_count  # exactly enough sources for every level
+    images, docs = synthgen.make_mock_sources(n_pool, n_pool, args.seed)
 
     nonsyn = None
     if args.nonsyn_positives:
@@ -126,8 +125,7 @@ def cmd_gen(args):
     write_records(out_dir / "val.jsonl", val_s)
     write_json_file(out_dir / "report.json", report.to_obj())
 
-    config = {"levels_count": args.levels_count, "val_fraction": args.val_fraction,
-              "caption_images": n_caps, "docs": n_docs}
+    config = {"levels_count": args.levels_count, "val_fraction": args.val_fraction}
     inputs = {}
     if args.nonsyn_positives:
         inputs["nonsyn_positives"] = str(args.nonsyn_positives)
@@ -167,19 +165,15 @@ def cmd_cluster(args):
     return config, {"records": str(args.embeddings_from)}, {"clusters": str(args.out)}
 
 
-def _config_overlay(config_path, flag_values: dict) -> dict:
-    """File config first, then non-None flags on top (flags win)."""
-    obj = _load_json(config_path) if config_path else {}
-    if not isinstance(obj, dict):
-        raise DataError(f"{config_path}: config must be a JSON object")
-    obj.update({k: v for k, v in flag_values.items() if v is not None})
-    return obj
-
-
 def cmd_train(args):
-    cfg_obj = _config_overlay(args.config, {"epochs": args.epochs,
-                                            "batch_size": args.batch_size,
-                                            "peak_lr": args.peak_lr})
+    checkpoint_dir = Path(args.out_checkpoint).parent
+    if not checkpoint_dir.is_dir():
+        raise DataError(f"checkpoint directory does not exist: {checkpoint_dir}")
+    cfg_obj = _load_json(args.config) if args.config else {}
+    if not isinstance(cfg_obj, dict):
+        raise DataError(f"{args.config}: config must be a JSON object")
+    if args.epochs is not None:
+        cfg_obj["epochs"] = args.epochs
     enc_fields = cfg_obj.pop("encoder", {})
     if not isinstance(enc_fields, dict):
         raise DataError(f"config key 'encoder' must be an object, got {enc_fields!r}")
@@ -343,10 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--val-fraction", type=float, default=0.05)
     p.add_argument("--nonsyn-positives", default=None,
                    help="caption JSONL appended as positive-level samples")
-    p.add_argument("--caption-images", type=int, default=None,
-                   help="mock caption image pool size (default: exactly enough)")
-    p.add_argument("--docs", type=int, default=None,
-                   help="mock document image-group pool size (default: exactly enough)")
 
     p = add("cluster", cmd_cluster, "cluster records and sample ids per cluster")
     p.add_argument("--embeddings-from", required=True, help="records JSONL to embed")
@@ -358,10 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", required=True)
     p.add_argument("--val", required=True)
     p.add_argument("--epochs", type=int, default=None, help="default 10")
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--peak-lr", type=float, default=None)
     p.add_argument("--config", default=None,
-                   help="JSON with model/train fields; explicit flags win")
+                   help="JSON with model/train fields; --epochs wins")
     p.add_argument("--out-checkpoint", required=True)
 
     p = add("eval", cmd_eval, "evaluate a checkpoint on labeled data")

@@ -20,6 +20,8 @@ from .common import DataError, check_counts, check_field, child_rng
 from .encoder import EncoderConfig, patchify_embed
 from .records import ImagePayload, InterleavedDoc
 
+MAX_ITERS = 100  # Lloyd iteration cap
+
 
 def image_embedding(payload: ImagePayload, cfg: EncoderConfig) -> np.ndarray:
     """Mean patch vector, L2 normalized.  Errors on an all-zero embedding."""
@@ -60,11 +62,10 @@ def _check_seed(cfg) -> None:
 @dataclass
 class KMeansConfig:
     k: int
-    max_iters: int = 100
     seed: int = 0
 
     def __post_init__(self):
-        check_counts(self, "k", "max_iters")
+        check_counts(self, "k")
         _check_seed(self)
 
 
@@ -105,7 +106,8 @@ def kmeans(matrix: EmbeddingMatrix, cfg: KMeansConfig) -> KMeansResult:
 
     Assignment ties go to the lowest centroid index (argmin).  A cluster left
     empty after assignment is reseeded from the point farthest from its own
-    centroid.  Stops when assignments no longer change or max_iters is hit.
+    centroid.  Stops when assignments no longer change or after MAX_ITERS
+    iterations.
     """
     x = np.asarray(matrix.vecs, dtype=np.float64)
     n = x.shape[0]
@@ -117,7 +119,7 @@ def kmeans(matrix: EmbeddingMatrix, cfg: KMeansConfig) -> KMeansResult:
     assignments = np.full(n, -1, dtype=np.int64)
     history: list[float] = []
     iters = 0
-    for _ in range(cfg.max_iters):
+    for _ in range(MAX_ITERS):
         iters += 1
         d2 = _sq_dists(x, centroids)
         new_assign = d2.argmin(axis=1)

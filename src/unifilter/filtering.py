@@ -141,14 +141,16 @@ def threshold_for_fraction(scores: list[ScoredRecord], fraction: float) -> float
 # ---------------------------------------------------------------------------
 # DFN-style baseline: image-paragraph similarity thresholding
 
+DFN_DIM = 64  # the one width of text and image embeddings, so they can be compared
 
-def hashed_text_embedding(text: str, dim: int = 64):
+
+def hashed_text_embedding(text: str):
     """L2-normalized signed hashed bag-of-tokens; None if the text has no
     tokens.  A deterministic toy stand-in for a real text encoder."""
-    vec = np.zeros(dim)
+    vec = np.zeros(DFN_DIM)
     for tok in tokenize_words(text.lower()):
         h = hashlib.sha256(tok.encode("utf-8")).digest()
-        idx = int.from_bytes(h[:8], "big") % dim
+        idx = int.from_bytes(h[:8], "big") % DFN_DIM
         sign = 1.0 if h[8] % 2 == 0 else -1.0
         vec[idx] += sign
     norm = float(np.linalg.norm(vec))
@@ -158,18 +160,16 @@ def hashed_text_embedding(text: str, dim: int = 64):
 
 
 @cache
-def _dfn_projection(d_in: int, dim: int) -> np.ndarray:
-    return child_rng(0, "dfn-image-proj", d_in, dim).normal(0.0, 1.0, size=(d_in, dim))
+def _dfn_projection(d_in: int) -> np.ndarray:
+    return child_rng(0, "dfn-image-proj", d_in, DFN_DIM).normal(0.0, 1.0, size=(d_in, DFN_DIM))
 
 
-def dfn_image_embedding(payload: ImagePayload, dim: int = 64,
-                        enc_cfg: EncoderConfig | None = None):
+def dfn_image_embedding(payload: ImagePayload):
     """Mean patch vector pushed through a fixed random projection into the
     text embedding space, L2 normalized; None for a degenerate zero vector."""
-    enc_cfg = enc_cfg or EncoderConfig()
-    grid = patchify_embed(payload, enc_cfg)
+    grid = patchify_embed(payload, EncoderConfig())
     mean_vec = grid.vecs.reshape(-1, grid.vecs.shape[2]).mean(axis=0)
-    vec = mean_vec @ _dfn_projection(mean_vec.shape[0], dim)
+    vec = mean_vec @ _dfn_projection(mean_vec.shape[0])
     norm = float(np.linalg.norm(vec))
     if norm == 0.0:
         return None

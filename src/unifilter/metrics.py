@@ -83,12 +83,12 @@ def evaluate(pairs) -> EvalReport:
     )
 
 
-def format_report(report: EvalReport, model_label: str = "quality-regressor") -> str:
+def format_report(report: EvalReport) -> str:
     """Small fixed-width table: validation accuracy and macro F1 up top."""
     lines = []
     flag = f"  (zero-support: {', '.join(report.zero_support)})" if report.zero_support else ""
     lines.append(f"{'Model':<24}{'Validation Acc':>16}{'Validation F1':>16}")
-    lines.append(f"{model_label:<24}{100 * report.accuracy:>15.1f}%{100 * report.macro_f1:>15.1f}%")
+    lines.append(f"{'quality-regressor':<24}{100 * report.accuracy:>15.1f}%{100 * report.macro_f1:>15.1f}%")
     lines.append(f"n={report.n}  f1=macro{flag}")
     lines.append("")
     lines.append(f"{'level':<18}{'support':>8}{'prec':>8}{'recall':>8}{'f1':>8}")

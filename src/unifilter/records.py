@@ -38,6 +38,13 @@ from .common import DataError, SchemaError, dump_json_line
 LEVEL_NAMES = {0: "easy_negative", 1: "medium_negative", 2: "hard_negative", 3: "positive"}
 
 
+def _check_utf8(*strings: str) -> None:
+    """UnicodeEncodeError (a ValueError) for a lone surrogate, which JSON
+    can escape but a UTF-8 output file cannot hold."""
+    for text in strings:
+        text.encode("utf-8")
+
+
 # --- payloads ----------------------------------------------------------------
 
 
@@ -49,14 +56,16 @@ class ImagePayload:
             raise SchemaError("image payload needs exactly one of pixels / patch_grid")
         if pixels is not None:
             pixels = np.asarray(pixels, dtype=np.float64)
-            if pixels.ndim != 3:
-                raise SchemaError(f"pixels must be channels x height x width, got shape {pixels.shape}")
+            if pixels.ndim != 3 or pixels.size == 0:
+                raise SchemaError(f"pixels must be a non-empty channels x height x width array, "
+                                  f"got shape {pixels.shape}")
             if not np.isfinite(pixels).all():
                 raise SchemaError("pixels contain non-finite values")
         if patches is not None:
             patches = np.asarray(patches, dtype=np.float64)
-            if patches.ndim != 3:
-                raise SchemaError(f"patch_grid must be h x w x dim, got shape {patches.shape}")
+            if patches.ndim != 3 or patches.size == 0:
+                raise SchemaError(f"patch_grid must be a non-empty h x w x dim array, "
+                                  f"got shape {patches.shape}")
             if not np.isfinite(patches).all():
                 raise SchemaError("patch_grid contains non-finite values")
         self.pixels = pixels
@@ -141,6 +150,7 @@ class CaptionSample:
             raise SchemaError("caption record has empty id")
         if not self.text.strip():
             raise SchemaError(f"caption {self.id!r} has empty text")
+        _check_utf8(self.id, self.text)
 
     def to_obj(self) -> dict:
         return {"id": self.id, "image": self.image.to_obj(), "text": self.text}
@@ -164,6 +174,7 @@ class InterleavedDoc:
         for it in self.items:
             if it.kind == "text" and not (it.text or "").strip():
                 raise SchemaError(f"doc {self.id!r} has an empty text item")
+        _check_utf8(self.id, *self.texts())
 
     def images(self) -> list[ImagePayload]:
         return [it.image for it in self.items if it.kind == "image"]
@@ -197,6 +208,7 @@ class LabeledSample:
             raise SchemaError(f"label out of range: {self.label!r}")
         if LEVEL_NAMES[self.label] != self.level_name:
             raise SchemaError(f"label {self.label} does not match level_name {self.level_name!r}")
+        _check_utf8(self.provenance)
         self.record.validate()
 
     def to_obj(self) -> dict:
@@ -232,6 +244,7 @@ class ScoredRecord:
     def validate(self):
         if not self.id:
             raise SchemaError("scored record has empty id")
+        _check_utf8(self.id)
         if self.modality not in ("caption", "interleaved"):
             raise SchemaError(f"bad modality {self.modality!r}")
         if not np.isfinite(self.score):
@@ -340,6 +353,8 @@ def read_records(path, kind: str):
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise SchemaError(f"invalid JSON: {exc.msg}", line_no) from exc
+            except RecursionError as exc:
+                raise SchemaError("invalid JSON: nested too deeply", line_no) from exc
             if not isinstance(obj, dict):
                 raise SchemaError(f"expected a JSON object, got {type(obj).__name__}", line_no)
             yield decode_record(obj, sniff_kind(obj) if kind == "auto" else kind, line_no)

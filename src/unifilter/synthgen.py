@@ -144,6 +144,7 @@ IMAGE_HW = 16                 # mock images are 1 x IMAGE_HW x IMAGE_HW pixels
 JITTER = 0.004
 TEXTURE_TILE = 4              # patch-aligned tile size
 FILLER_CONTAMINATION = 0.08   # chance a filler borrows a neighbor level's style
+MAX_IMAGES_PER_DOC = 3
 
 
 @cache
@@ -451,8 +452,7 @@ def render_mock_image(buckets, rng: np.random.Generator) -> ImagePayload:
     return ImagePayload(pixels=img)
 
 
-def make_mock_sources(n_caption_images: int, n_docs: int, seed: int,
-                      max_images_per_doc: int = 3):
+def make_mock_sources(n_caption_images: int, n_docs: int, seed: int):
     """Seeded source corpus: caption images plus image groups for documents.
 
     Images inside one document get distinct buckets in every slot so their
@@ -467,7 +467,7 @@ def make_mock_sources(n_caption_images: int, n_docs: int, seed: int,
     ]
     docs = []
     for _ in range(n_docs):
-        m = int(rng.integers(1, max_images_per_doc + 1))
+        m = int(rng.integers(1, MAX_IMAGES_PER_DOC + 1))
         per_slot = [rng.choice(N_BUCKETS, size=m, replace=False) for _ in range(k)]
         docs.append([
             render_mock_image([int(per_slot[q][i]) for q in range(k)], rng)

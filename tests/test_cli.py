@@ -292,12 +292,37 @@ def test_usage_error_exits_2():
 
 
 def test_gen_removed_generator_flags_are_usage_errors(tmp_path):
-    # the mock is the only generator: no remote config, no --mock, no --num-words
-    for extra in (["--generator-config", "x.json"], ["--mock"], ["--num-words", "50"]):
+    # the mock is the only generator: no remote config, no --mock, no --num-words;
+    # its source pools are always exactly large enough
+    for extra in (["--generator-config", "x.json"], ["--mock"], ["--num-words", "50"],
+                  ["--caption-images", "8"], ["--docs", "8"]):
         with pytest.raises(SystemExit) as exc:
             main(["gen", "--out", str(tmp_path / "data"), *extra])
         assert exc.value.code == 2, extra
     assert not (tmp_path / "data").exists()
+
+
+def test_train_removed_config_flags_are_usage_errors(tmp_path):
+    # batch size and peak lr are config keys only; --epochs is the one flag
+    for extra in (["--peak-lr", "1e-3"], ["--batch-size", "4"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--train", "t.jsonl", "--val", "v.jsonl",
+                  "--out-checkpoint", str(tmp_path / "model.json"), *extra])
+        assert exc.value.code == 2, extra
+    assert not list(tmp_path.iterdir())
+
+
+def test_train_missing_checkpoint_dir_exits_3_before_reading_data(tmp_path, capsys):
+    ckpt = tmp_path / "nodir" / "model.json"
+    rc = main(["train", "--train", str(tmp_path / "nope.jsonl"),
+               "--val", str(tmp_path / "nope.jsonl"), "--out-checkpoint", str(ckpt)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "Traceback" not in err
+    obj = json.loads(err)
+    assert obj["error"] == "data"
+    assert "checkpoint directory" in obj["message"]  # not the missing train input
+    assert not list(tmp_path.iterdir())  # no checkpoint, no manifest
 
 
 def test_missing_input_exits_3(tmp_path, capsys):

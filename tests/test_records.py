@@ -122,6 +122,11 @@ def test_strict_mode_raises_on_first_bad_line(tmp_path):
                 '"image": {"patch_grid": {"h": 1, "w": 1, "dim": 1, "data": [Infinity]}}}')
     item_not_object = '{"id": "d", "items": [5]}'
     huge_score = '{"id": "s", "score": 1' + "0" * 400 + ', "modality": "caption"}'
+    deep = '{"id": "deep", "text": "t", "image": ' + "[" * 100_000 + "]" * 100_000 + "}"
+    empty_grid = '{"id": "e", "text": "t", "image": {"patch_grid": {"h": 0, "w": 0, "dim": 8, "data": []}}}'
+    empty_pixels = '{"id": "e", "text": "t", "image": {"pixels": {"shape": [1, 0, 16], "data": []}}}'
+    surrogate_text = good.replace('"fine"', '"fine \\ud800"')
+    surrogate_id = '{"id": "\\udc00", "score": 1.0, "modality": "caption"}'
     cases = [
         (['{"id": 42}'], 1),
         (["{not json", good], 1),          # invalid JSON
@@ -131,6 +136,11 @@ def test_strict_mode_raises_on_first_bad_line(tmp_path):
         ([good, good, inf_grid], 3),       # non-finite patch grid
         ([good, item_not_object], 2),      # a document item that is not an object
         ([huge_score], 1),                 # an integer too large for a float
+        ([good, deep], 2),                 # nested past the recursion limit
+        ([empty_grid], 1),                 # a 0 x 0 patch grid
+        ([good, empty_pixels], 2),         # pixels with a zero dimension
+        ([good, surrogate_text], 2),       # a lone surrogate cannot be written as UTF-8
+        ([surrogate_id], 1),
     ]
     path = tmp_path / "bad.jsonl"
     for lines, line_no in cases:
