@@ -21,7 +21,7 @@ import numpy as np
 from . import clustering, filtering, metrics, synthgen
 from .classifier import ModelConfig, TrainConfig, load_model, save_model, train
 from .common import (DataError, NumericError, __version__, check_counts, check_field,
-                     dump_json_line, write_json_file)
+                     dump_json_line, read_json_file, write_json_file)
 from .encoder import EncoderConfig
 from .filtering import FilterConfig
 from .packing import Vocab, pack, write_packed
@@ -63,16 +63,6 @@ def _resolve_workers(flag_value) -> int:
         except ValueError:
             raise DataError(f"{THREADS_ENV} must be an integer, got {env!r}")
     return len(os.sched_getaffinity(0))
-
-
-def _load_json(path) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise DataError(f"missing input file: {path}")
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: invalid JSON: {exc.msg}")
 
 
 def _read_all(path, kind: str) -> list:
@@ -169,9 +159,7 @@ def cmd_train(args):
     checkpoint_dir = Path(args.out_checkpoint).parent
     if not checkpoint_dir.is_dir():
         raise DataError(f"checkpoint directory does not exist: {checkpoint_dir}")
-    cfg_obj = _load_json(args.config) if args.config else {}
-    if not isinstance(cfg_obj, dict):
-        raise DataError(f"{args.config}: config must be a JSON object")
+    cfg_obj = read_json_file(args.config) if args.config else {}
     if args.epochs is not None:
         cfg_obj["epochs"] = args.epochs
     enc_fields = cfg_obj.pop("encoder", {})

@@ -85,6 +85,19 @@ def write_json_file(path, obj) -> None:
         fh.write("\n")
 
 
-def read_json_file(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+def read_json_file(path) -> dict:
+    """The JSON object in a file; DataError names the path when there is none."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except FileNotFoundError:
+        raise DataError(f"missing input file: {path}") from None
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: not UTF-8 text") from None
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: invalid JSON: {exc.msg}") from None
+    except RecursionError:
+        raise DataError(f"{path}: invalid JSON: nested too deeply") from None
+    if not isinstance(obj, dict):
+        raise DataError(f"{path}: must be a JSON object, got {type(obj).__name__}")
+    return obj

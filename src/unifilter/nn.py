@@ -5,10 +5,12 @@ multi-head attention, GELU MLP), so every op ships a forward that returns a
 cache and a backward that consumes it.  Attention and the block have one
 forward and one backward each, with one choice of query rows: all n rows
 under the causal mask, or the last row only (last_only), which attends to
-every row and so builds no mask.  All math is plain numpy on (seq, dim)
-matrices; parameters live in a flat dict of named float arrays, which keeps
-the optimizer, the checkpoint format and the finite-difference harness
-trivially generic.
+every row.  Attention runs its query rows in tiles of ATTN_TILE rows, each
+scored against only the keys it can see, so its largest buffer is
+(heads, ATTN_TILE, n), never (heads, n, n).  All math is plain numpy on
+(seq, dim) matrices; parameters live in a flat dict of named float arrays,
+which keeps the optimizer, the checkpoint format and the finite-difference
+harness trivially generic.
 
 Gradient correctness is enforced by grad_check, a central-difference probe
 over every parameter entry.  Anything new added here must pass it before use.
@@ -95,21 +97,32 @@ def layer_norm_backward(dy, cache):
 
 # --- attention ------------------------------------------------------------------
 
+ATTN_TILE = 64  # query rows per attention tile
+# -inf above the diagonal; a tile's diagonal block adds its top-left corner
+_CAUSAL_MASK = np.triu(np.full((ATTN_TILE, ATTN_TILE), -np.inf), k=1)
+_CAUSAL_MASK.flags.writeable = False
+
 
 def causal_self_attention(x: np.ndarray, p: Params, n_heads: int, last_only: bool = False):
     """Multi-head causal self-attention on a single (n, d) sequence.
 
     p holds wq,bq,wk,bk,wv,bv,wo,bo.  Keys and values cover all n rows.
     Queries cover all n rows, where position i attends to positions <= i,
-    or with last_only the last row alone, which attends to every position
-    and so needs no mask.  Returns (out, cache) with out of shape (n, d) or
-    (1, d).
+    or with last_only the last row alone, which attends to every position.
+    Returns (out, cache) with out of shape (n, d) or (1, d).
+
+    Query rows run in tiles of ATTN_TILE rows: tile rows a:b score against
+    keys :b only, the keys they can see, and only the tile's diagonal
+    (b-a, b-a) block is masked.  n <= ATTN_TILE is the one-tile case, and
+    last_only the one-row tile a = n-1, whose one diagonal cell is unmasked.
+    The cache keeps each tile's (heads, b-a, b) attention, so no (heads, n, n)
+    array is built.
     """
     n, d = x.shape
     dh = d // n_heads
-    xq = x[-1:] if last_only else x
-    m = xq.shape[0]
-    q = linear(xq, p["wq"], p["bq"])
+    first = n - 1 if last_only else 0
+    m = n - first
+    q = linear(x[first:], p["wq"], p["bq"])
     k = linear(x, p["wk"], p["bk"])
     v = linear(x, p["wv"], p["bv"])
     # (heads, rows, dh)
@@ -117,16 +130,21 @@ def causal_self_attention(x: np.ndarray, p: Params, n_heads: int, last_only: boo
     kh = k.reshape(n, n_heads, dh).transpose(1, 0, 2)
     vh = v.reshape(n, n_heads, dh).transpose(1, 0, 2)
     scale = 1.0 / math.sqrt(dh)
-    # one (heads, m, n) buffer: scores, then masked scores, then attention
-    attn = qh @ kh.transpose(0, 2, 1)
-    attn *= scale
-    if not last_only:
-        attn += np.triu(np.full((n, n), -np.inf), k=1)
-    softmax_rows(attn)
-    outh = attn @ vh  # (heads, m, dh)
-    concat = outh.transpose(1, 0, 2).reshape(m, d)
+    concat = np.empty((m, d))
+    outh = concat.reshape(m, n_heads, dh).transpose(1, 0, 2)  # a view that fills concat
+    tiles = []
+    for a in range(first, n, ATTN_TILE):
+        b = min(a + ATTN_TILE, n)
+        rows = slice(a - first, b - first)
+        # one (heads, b-a, b) buffer: scores, then masked scores, then attention
+        tile = qh[:, rows] @ kh[:, :b].transpose(0, 2, 1)
+        tile *= scale
+        tile[:, :, a:] += _CAUSAL_MASK[:b - a, :b - a]
+        softmax_rows(tile)
+        outh[:, rows] = tile @ vh[:, :b]
+        tiles.append(tile)
     out = linear(concat, p["wo"], p["bo"])
-    cache = (x, p, n_heads, qh, kh, vh, attn, concat, scale)
+    cache = (x, p, n_heads, qh, kh, vh, tiles, concat, scale)
     return out, cache
 
 
@@ -134,21 +152,32 @@ def causal_self_attention_backward(dy, cache):
     """Returns (dx, grads) matching the parameter names used in the forward.
 
     dy has the forward output's shape; dx always has shape (n, d), since
-    keys and values read every row.
+    keys and values read every row.  It walks the forward's tiles: a tile of
+    rows a:b writes those rows of dq and adds into the first b rows of dk
+    and dv.
     """
-    x, p, n_heads, qh, kh, vh, attn, concat, scale = cache
+    x, p, n_heads, qh, kh, vh, tiles, concat, scale = cache
     n, d = x.shape
     m = qh.shape[1]  # query rows: n, or 1 for the last row only
     dh = d // n_heads
 
     dconcat, dwo, dbo = linear_backward(dy, concat, p["wo"])
     doh = dconcat.reshape(m, n_heads, dh).transpose(1, 0, 2)
-    dattn = doh @ vh.transpose(0, 2, 1)
-    dvh = attn.transpose(0, 2, 1) @ doh
-    # softmax backward; masked cells have attn == 0 so they contribute nothing
-    dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
-    dqh = (dscores @ kh) * scale
-    dkh = (dscores.transpose(0, 2, 1) @ qh) * scale
+    dqh = np.empty_like(qh)
+    dkh = np.zeros_like(kh)
+    dvh = np.zeros_like(vh)
+    r = 0  # the tile's first query row
+    for tile in tiles:
+        rows, b = slice(r, r + tile.shape[1]), tile.shape[2]  # the rows see keys :b
+        dattn = doh[:, rows] @ vh[:, :b].transpose(0, 2, 1)
+        dvh[:, :b] += tile.transpose(0, 2, 1) @ doh[:, rows]
+        # softmax backward; masked cells have attn == 0 so they contribute nothing
+        dscores = tile * (dattn - (dattn * tile).sum(axis=-1, keepdims=True))
+        dqh[:, rows] = dscores @ kh[:, :b]
+        dkh[:, :b] += dscores.transpose(0, 2, 1) @ qh[:, rows]
+        r = rows.stop
+    dqh *= scale
+    dkh *= scale
 
     dq = dqh.transpose(1, 0, 2).reshape(m, d)
     dk = dkh.transpose(1, 0, 2).reshape(n, d)

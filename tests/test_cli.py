@@ -11,7 +11,7 @@ import pytest
 import unifilter
 from unifilter.classifier import ModelConfig, QualityModel, init_params, save_model
 from unifilter.cli import main
-from unifilter.common import child_rng
+from unifilter.common import DataError, child_rng, read_json_file
 from unifilter.packing import Vocab
 from unifilter.records import ScoredRecord, write_records
 
@@ -240,6 +240,44 @@ def test_bad_train_config_exits_3_without_a_checkpoint(tmp_path, capsys, small_d
     assert not list(tmp_path.glob("model.json*"))  # no checkpoint, no manifest
 
 
+_DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+def test_deeply_nested_train_config_exits_3_without_a_checkpoint(tmp_path, capsys, small_data):
+    cfg_path = tmp_path / "deep.json"
+    cfg_path.write_text(_DEEP_JSON, encoding="utf-8")
+    ckpt = tmp_path / "model.json"
+    capsys.readouterr()
+    rc = main(["train", "--train", str(small_data / "train.jsonl"),
+               "--val", str(small_data / "val.jsonl"), "--config", str(cfg_path),
+               "--out-checkpoint", str(ckpt)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "Traceback" not in err
+    obj = json.loads(err)
+    assert obj["error"] == "data"
+    assert str(cfg_path) in obj["message"]
+    assert not list(tmp_path.glob("model.json*"))
+
+
+@pytest.mark.parametrize("text, problem", [
+    (None, "missing"),
+    ('{"format": ', "invalid JSON"),
+    (_DEEP_JSON, "nested too deeply"),
+    (b"{\"a\": \"\xff\"}", "UTF-8"),
+    ("[1]", "JSON object"),
+], ids=["missing", "truncated", "deep", "not-utf-8", "array"])
+def test_json_file_errors_name_the_path(tmp_path, text, problem):
+    path = tmp_path / "in.json"
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    elif text is not None:
+        path.write_text(text, encoding="utf-8")
+    with pytest.raises(DataError, match=problem) as exc:
+        read_json_file(path)
+    assert str(path) in str(exc.value)
+
+
 @pytest.mark.parametrize("argv, code", [
     (["gen", "--levels-count", "2", "--seed", "-1"], 2),
     (["gen", "--levels-count", "2", "--val-fraction", "2"], 3),
@@ -253,10 +291,18 @@ def test_bad_train_config_exits_3_without_a_checkpoint(tmp_path, capsys, small_d
     (["cluster", "--embeddings-from", "{scores}", "--k", "1"], 3),
     (["stats", "--in", "{scores}"], 3),
     (["pack", "--in", "{scores}", "--vocab", "{vocab}"], 3),
+    (["score", "--checkpoint", "{truncated}", "--in", "{train}"], 3),
+    (["pack", "--in", "{train}", "--vocab", "{truncated}"], 3),
+    (["score", "--checkpoint", "{deep}", "--in", "{train}"], 3),
+    (["eval", "--checkpoint", "{deep}", "--val", "{train}"], 3),
+    (["pack", "--in", "{train}", "--vocab", "{deep}"], 3),
+    (["pack", "--in", "{train}", "--vocab", "{array}"], 3),
 ], ids=["gen-seed-negative", "gen-val-fraction-2", "gen-val-fraction-negative",
         "gen-levels-count-negative", "cluster-per-cluster-negative", "cluster-per-cluster-0",
         "pack-t-0", "stats-image-token-equiv-negative", "bench-sizes-0",
-        "cluster-on-scores", "stats-on-scores", "pack-on-scores"])
+        "cluster-on-scores", "stats-on-scores", "pack-on-scores",
+        "score-checkpoint-truncated", "pack-vocab-truncated", "score-checkpoint-deep",
+        "eval-checkpoint-deep", "pack-vocab-deep", "pack-vocab-array"])
 def test_out_of_range_inputs_exit_cleanly_without_output(tmp_path, capsys, small_data,
                                                          argv, code):
     vocab = tmp_path / "vocab.json"
@@ -266,8 +312,15 @@ def test_out_of_range_inputs_exit_cleanly_without_output(tmp_path, capsys, small
     save_model(ckpt, QualityModel(cfg, Vocab(words=["fox"]), init_params(cfg, 5, child_rng(0))))
     scores = tmp_path / "scores.jsonl"
     write_records(scores, [ScoredRecord(id="s", score=1.0, modality="caption")])
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text('{"format": ', encoding="utf-8")
+    deep = tmp_path / "deep.json"
+    deep.write_text(_DEEP_JSON, encoding="utf-8")
+    array = tmp_path / "array.json"
+    array.write_text("[1]", encoding="utf-8")
     out = tmp_path / "out"
-    argv = [arg.format(train=small_data / "train.jsonl", vocab=vocab, ckpt=ckpt, scores=scores)
+    argv = [arg.format(train=small_data / "train.jsonl", vocab=vocab, ckpt=ckpt, scores=scores,
+                       truncated=truncated, deep=deep, array=array)
             for arg in argv]
     capsys.readouterr()
     try:

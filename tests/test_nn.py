@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
+from unifilter import nn
 from unifilter.common import NumericError
 from unifilter.nn import (
     LN_EPS,
@@ -115,16 +116,40 @@ def _attn_params(rng, d):
     return p
 
 
+def _attention_matrix(tiles, n):
+    """The (heads, rows, n) attention that the cache's tiles hold, zeros above the diagonal."""
+    m = sum(tile.shape[1] for tile in tiles)
+    attn = np.zeros((tiles[0].shape[0], m, n))
+    a = 0
+    for tile in tiles:
+        b = a + tile.shape[1]
+        attn[:, a:b, :tile.shape[2]] = tile
+        a = b
+    return attn
+
+
+def _arrays(obj):
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _arrays(item)
+    elif isinstance(obj, dict):
+        for item in obj.values():
+            yield from _arrays(item)
+
+
 def test_attention_is_causal():
     rng = _rng(5)
-    d, n = 8, 6
+    d, n = 8, 150
     p = _attn_params(rng, d)
     x = rng.normal(size=(n, d))
     y1, _ = causal_self_attention(x, p, n_heads=2)
     x2 = x.copy()
-    x2[4:] += 100.0  # only future positions move
+    x2[100:] += 100.0  # only future positions move, in the second and third tiles
     y2, _ = causal_self_attention(x2, p, n_heads=2)
-    assert np.array_equal(y1[:4], y2[:4])
+    assert np.array_equal(y1[:100], y2[:100])
+    assert not np.array_equal(y1[100:], y2[100:])
 
 
 @pytest.mark.parametrize("n", [1, 2, 9, 300])
@@ -146,15 +171,40 @@ def test_attention_matches_boolean_mask_reference(n):
     attn = e / e.sum(axis=-1, keepdims=True)
     expected = linear((attn @ vh).transpose(1, 0, 2).reshape(n, d), p["wo"], p["bo"])
 
-    assert np.array_equal(cache[6], attn)
-    assert np.array_equal(out, expected)
+    if n <= nn.ATTN_TILE:  # one tile does the reference's arithmetic exactly
+        assert np.array_equal(_attention_matrix(cache[6], n), attn)
+        assert np.array_equal(out, expected)
+    else:  # softmax sums over rows of :b keys, not :n, round differently
+        assert np.allclose(_attention_matrix(cache[6], n), attn, rtol=0.0, atol=1e-12)
+        assert np.allclose(out, expected, rtol=0.0, atol=1e-12)
     # the last row alone needs no mask; it equals the reference up to rounding
     assert last.shape == (1, d)
-    assert np.allclose(last_cache[6], attn[:, -1:], rtol=0.0, atol=1e-12)
+    assert np.allclose(_attention_matrix(last_cache[6], n), attn[:, -1:], rtol=0.0, atol=1e-12)
     assert np.allclose(last, expected[-1:], rtol=0.0, atol=1e-12)
 
 
-def test_attention_gradients():
+def test_attention_builds_no_n_by_n_array(monkeypatch):
+    rng = _rng(15)
+    d, n, n_heads = 8, 300, 2
+    p = _attn_params(rng, d)
+    x = rng.normal(size=(n, d))
+    softmax_shapes = []
+
+    def recording_softmax(s):
+        softmax_shapes.append(s.shape)
+        return softmax_rows(s)
+
+    monkeypatch.setattr(nn, "softmax_rows", recording_softmax)
+    _, cache = causal_self_attention(x, p, n_heads=n_heads)
+    limit = n_heads * nn.ATTN_TILE * n  # (heads, ATTN_TILE, n)
+    assert max(a.size for a in _arrays(cache)) <= limit
+    # each tile's softmax sees only the keys its rows can see
+    assert softmax_shapes == [(n_heads, min(nn.ATTN_TILE, n - a), min(a + nn.ATTN_TILE, n))
+                              for a in range(0, n, nn.ATTN_TILE)]
+
+
+def test_attention_gradients(monkeypatch):
+    monkeypatch.setattr(nn, "ATTN_TILE", 2)  # n = 5 runs as tiles of 2, 2 and 1 rows
     rng = _rng(6)
     d, n = 8, 5
     params = _attn_params(rng, d)
@@ -200,7 +250,8 @@ def _block_grad_error(rng, n, last_only):
     return grad_check(f, params)
 
 
-def test_transformer_block_gradients():
+def test_transformer_block_gradients(monkeypatch):
+    monkeypatch.setattr(nn, "ATTN_TILE", 2)  # n = 4 runs as two tiles
     assert _block_grad_error(_rng(7), 4, last_only=False) < GRAD_TOL
 
 
