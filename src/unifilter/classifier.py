@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .common import DataError, NumericError, check_counts, check_field, child_rng
+from .common import DataError, NumericError, check_counts, check_field, child_rng, config_from
 from .encoder import (EncoderConfig, adaptive_avg_pool_2d, init_projector, patchify_embed,
                       project, project_backward)
 from .nn import (AdamConfig, Params, adam_init, adam_step, layer_norm, layer_norm_backward,
@@ -49,8 +49,8 @@ class ModelConfig:
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
 
     def __post_init__(self):
-        if isinstance(self.encoder, dict):
-            self.encoder = EncoderConfig(**self.encoder)
+        if not isinstance(self.encoder, EncoderConfig):
+            self.encoder = config_from(EncoderConfig, self.encoder, "encoder config")
         check_counts(self, "d", "n_layers", "n_heads", "max_seq_len")
         if self.d % self.n_heads:
             raise DataError(f"d={self.d} not divisible by n_heads={self.n_heads}")
@@ -278,8 +278,12 @@ def load_model(path) -> QualityModel:
     params, meta = load_tensors(path)
     if meta.get("kind") != CHECKPOINT_KIND:
         raise DataError(f"{path}: not a quality-model checkpoint")
-    cfg = ModelConfig(**{k: v for k, v in meta["config"].items()})
-    return QualityModel(config=cfg, vocab=Vocab(words=list(meta["vocab_words"])), params=params)
+    try:
+        cfg = config_from(ModelConfig, meta.get("config"), "model config")
+        vocab = Vocab(words=meta.get("vocab_words"))
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    return QualityModel(config=cfg, vocab=vocab, params=params)
 
 
 # --- training ----------------------------------------------------------------------

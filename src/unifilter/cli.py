@@ -1,9 +1,11 @@
 """Command line entry point: one executable, one subcommand per stage.
 
 Every run writes a RunManifest next to its primary output so a pipeline can
-be audited and replayed.  All randomness flows from a single --seed through
-counter-based splitting, so reruns are byte-identical (manifests differ only
-in wall time).  Exit codes: 0 ok, 2 usage, 3 data error, 4 numeric failure.
+be audited and replayed.  The subcommands that draw random numbers (gen,
+train, cluster, bench) take a --seed, and all their randomness flows from it
+through counter-based splitting, so reruns are byte-identical (manifests
+differ only in wall time).  Exit codes: 0 ok, 2 usage, 3 data error,
+4 numeric failure.
 """
 
 from __future__ import annotations
@@ -21,20 +23,18 @@ import numpy as np
 from . import clustering, filtering, metrics, synthgen
 from .classifier import ModelConfig, TrainConfig, load_model, save_model, train
 from .common import (DataError, NumericError, __version__, check_counts, check_field,
-                     dump_json_line, read_json_file, write_json_file)
+                     config_from, dump_json_line, read_json_file, write_json_file)
 from .encoder import EncoderConfig
 from .filtering import FilterConfig
 from .packing import Vocab, pack, write_packed
 from .records import as_document, read_records, write_records
-
-THREADS_ENV = "UNIFILTER_THREADS"
 
 
 @dataclass
 class RunManifest:
     subcommand: str
     config: dict
-    seed: int
+    seed: int | None      # None for the subcommands that draw no random numbers
     inputs: dict
     outputs: dict
     version: str = __version__
@@ -50,19 +50,6 @@ def _manifest_path(primary_out) -> Path:
     if out.is_dir():
         return out / "manifest.json"
     return out.with_name(out.name + ".manifest.json")
-
-
-def _resolve_workers(flag_value) -> int:
-    """Explicit flag wins, then the UNIFILTER_THREADS env var, then the usable CPUs."""
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get(THREADS_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise DataError(f"{THREADS_ENV} must be an integer, got {env!r}")
-    return len(os.sched_getaffinity(0))
 
 
 def _read_all(path, kind: str) -> list:
@@ -162,22 +149,9 @@ def cmd_train(args):
     cfg_obj = read_json_file(args.config) if args.config else {}
     if args.epochs is not None:
         cfg_obj["epochs"] = args.epochs
-    enc_fields = cfg_obj.pop("encoder", {})
-    if not isinstance(enc_fields, dict):
-        raise DataError(f"config key 'encoder' must be an object, got {enc_fields!r}")
-    unknown = set(enc_fields) - set(EncoderConfig.__dataclass_fields__)
-    if unknown:
-        raise DataError(f"unknown encoder config keys: {sorted(unknown)}")
-    model_fields = {k: cfg_obj.pop(k) for k in ("d", "n_layers", "n_heads", "max_seq_len")
-                    if k in cfg_obj}
-    if enc_fields:
-        model_fields["encoder"] = EncoderConfig(**enc_fields)
-    known_train = {f for f in TrainConfig.__dataclass_fields__}
-    unknown = set(cfg_obj) - known_train
-    if unknown:
-        raise DataError(f"unknown config keys: {sorted(unknown)}")
-    mcfg = ModelConfig(**model_fields)
-    tcfg = TrainConfig(**cfg_obj)
+    mcfg = ModelConfig(**{k: cfg_obj.pop(k) for k in ModelConfig.__dataclass_fields__
+                          if k in cfg_obj})
+    tcfg = config_from(TrainConfig, cfg_obj, "config")
 
     train_s = _read_all(args.train, "labeled")
     val_s = _read_all(args.val, "labeled")
@@ -213,14 +187,13 @@ def cmd_eval(args):
 def cmd_score(args):
     model = load_model(args.checkpoint)
     records = _read_all(getattr(args, "in"), "auto")
-    workers = _resolve_workers(args.workers)
-    fcfg = FilterConfig(batch_size=args.batch_size, workers=workers)
+    fcfg = FilterConfig(batch_size=args.batch_size, workers=args.workers)
     scored, rejects = filtering.score_corpus(records, model, fcfg)
     write_records(args.out, scored)
     rejects_path = _sidecar_rejects(args.out)
     _write_rejects(rejects_path, rejects)
 
-    config = {"batch_size": args.batch_size, "workers": workers}
+    config = {"batch_size": args.batch_size, "workers": args.workers}
     inputs = {"checkpoint": str(args.checkpoint), "records": str(getattr(args, "in"))}
     outputs = {"scores": str(args.out), "rejects": str(rejects_path)}
     return config, inputs, outputs
@@ -267,11 +240,9 @@ def cmd_dfn_filter(args):
 def cmd_pack(args):
     records = _read_all(getattr(args, "in"), "auto")
     vocab = Vocab.load(args.vocab)
-    seqs = pack(records, args.context_len, vocab, args.t,
-                caption_chunk_marker=args.caption_chunk_marker)
+    seqs = pack(records, args.context_len, vocab, args.t)
     write_packed(args.out, seqs)
-    config = {"context_len": args.context_len, "t": args.t,
-              "caption_chunk_marker": args.caption_chunk_marker}
+    config = {"context_len": args.context_len, "t": args.t}
     inputs = {"records": str(getattr(args, "in")), "vocab": str(args.vocab)}
     return config, inputs, {"packed": str(args.out)}
 
@@ -312,13 +283,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"unifilter {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add(name, fn, help_text):
+    def add(name, fn, help_text, seeded=False):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(fn=fn)
-        p.add_argument("--seed", type=_seed, default=0)
+        if seeded:
+            p.add_argument("--seed", type=_seed, default=0)
         return p
 
-    p = add("gen", cmd_gen, "generate a labeled semi-synthetic quality dataset")
+    p = add("gen", cmd_gen, "generate a labeled semi-synthetic quality dataset",
+            seeded=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--levels-count", type=int, default=50,
                    help="samples per quality level per modality")
@@ -326,13 +299,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nonsyn-positives", default=None,
                    help="caption JSONL appended as positive-level samples")
 
-    p = add("cluster", cmd_cluster, "cluster records and sample ids per cluster")
+    p = add("cluster", cmd_cluster, "cluster records and sample ids per cluster", seeded=True)
     p.add_argument("--embeddings-from", required=True, help="records JSONL to embed")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--per-cluster", type=int, default=4)
     p.add_argument("--out", required=True, help="output JSON path")
 
-    p = add("train", cmd_train, "train the quality regressor")
+    p = add("train", cmd_train, "train the quality regressor", seeded=True)
     p.add_argument("--train", required=True)
     p.add_argument("--val", required=True)
     p.add_argument("--epochs", type=int, default=None, help="default 10")
@@ -350,8 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--batch-size", type=int, default=16)
-    p.add_argument("--workers", type=int, default=None,
-                   help=f"default ${THREADS_ENV} when set, else the usable CPU count")
+    p.add_argument("--workers", type=int, default=len(os.sched_getaffinity(0)),
+                   help="score worker threads; default the usable CPU count")
 
     p = add("filter", cmd_filter, "keep the top fraction of records by score")
     p.add_argument("--scores", required=True)
@@ -371,8 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--t", type=int, default=4,
                    help="image token grid side; an image takes t^2 tokens")
-    p.add_argument("--caption-chunk-marker", action="store_true",
-                   help="also put the chunk marker before caption images")
     p.add_argument("--out", required=True)
 
     p = add("stats", cmd_stats, "corpus statistics (images, text length, doc length)")
@@ -382,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--retained-fraction", type=float, default=1.0)
     p.add_argument("--out", default="stats.json")
 
-    p = add("bench", cmd_bench, "throughput benchmark of the scoring path")
+    p = add("bench", cmd_bench, "throughput benchmark of the scoring path", seeded=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--sizes", type=_csv_ints, default=[64, 128],
                    help="comma-separated corpus sizes")
@@ -418,8 +389,8 @@ def main(argv=None) -> int:
 
     manifest = RunManifest(
         subcommand=args.subcommand,
-        config={"seed": args.seed, **config},
-        seed=args.seed,
+        config=config,
+        seed=getattr(args, "seed", None),
         inputs=inputs,
         outputs=outputs,
         wall_time_s=time.perf_counter() - start,

@@ -42,6 +42,16 @@ def check_field(cfg, name: str, ok, rule: str) -> None:
         raise DataError(f"{name}={value!r}: must be {rule}")
 
 
+def config_from(cls, fields, what: str):
+    """cls(**fields); DataError unless fields is an object holding only cls's fields."""
+    if not isinstance(fields, dict):
+        raise DataError(f"{what} must be a JSON object, got {fields!r}")
+    unknown = set(fields) - set(cls.__dataclass_fields__)
+    if unknown:
+        raise DataError(f"unknown {what} keys: {sorted(unknown)}")
+    return cls(**fields)
+
+
 def check_counts(cfg, *names: str) -> None:
     """check_field for each name: an integer >= 1."""
     for name in names:

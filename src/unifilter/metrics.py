@@ -11,14 +11,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .common import DataError
+from .common import DataError, NumericError
 from .records import LEVEL_NAMES
 
 N_LEVELS = 4
 
 
 def quantize_score(score: float) -> int:
-    """Round half up, then clamp to the 0..3 label range."""
+    """Round half up, then clamp to the 0..3 label range; NumericError if not finite."""
+    if not math.isfinite(score):
+        raise NumericError(f"non-finite score {score!r} cannot be quantized")
     return min(N_LEVELS - 1, max(0, int(math.floor(score + 0.5))))
 
 

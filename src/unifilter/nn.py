@@ -376,8 +376,14 @@ def load_tensors(path):
     obj = read_json_file(path)
     if obj.get("format") != TENSOR_FORMAT:
         raise DataError(f"{path}: unknown checkpoint format {obj.get('format')!r}")
-    tensors = {
-        name: np.asarray(spec["data"], dtype=np.float64).reshape(spec["shape"])
-        for name, spec in obj["tensors"].items()
-    }
-    return tensors, obj.get("meta", {})
+    specs, meta = obj.get("tensors"), obj.get("meta", {})
+    if not (isinstance(specs, dict) and isinstance(meta, dict)):
+        raise DataError(f"{path}: checkpoint needs a 'tensors' object and a 'meta' object")
+    tensors = {}
+    for name, spec in specs.items():
+        try:
+            tensors[name] = np.asarray(spec["data"], dtype=np.float64).reshape(spec["shape"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{path}: tensor {name!r} needs a 'shape' and matching 'data' "
+                            f"({exc})") from None
+    return tensors, meta

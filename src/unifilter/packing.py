@@ -8,10 +8,10 @@ whitespace, nothing else.  Four ids are reserved and stable across runs:
 Flattening turns a record into one id stream.  Inside an interleaved document
 every image becomes one end_of_chunk marker followed by t*t image placeholder
 ids, in reading order; caption records flatten image-first and carry no
-marker by default.  The packer then concatenates flattened streams and cuts
-them into sequences of exactly context_len ids.  An image run is atomic: when
-it would straddle a boundary the current sequence is padded out and the run
-starts the next one.  Non-pad ids are conserved exactly, in order.
+marker.  The packer then concatenates flattened streams and cuts them into
+sequences of exactly context_len ids.  An image run is atomic: when it would
+straddle a boundary the current sequence is padded out and the run starts
+the next one.  Non-pad ids are conserved exactly, in order.
 """
 
 from __future__ import annotations
@@ -46,6 +46,8 @@ class Vocab:
     _index: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
+        if not (isinstance(self.words, list) and all(isinstance(w, str) for w in self.words)):
+            raise DataError("vocab words must be a list of strings")
         self._index = {w: i + N_RESERVED for i, w in enumerate(self.words)}
 
     def __len__(self):
@@ -64,7 +66,10 @@ class Vocab:
             raise DataError(f"{path}: unknown vocab format {obj.get('format')!r}")
         if obj.get("reserved") != RESERVED:
             raise DataError(f"{path}: reserved id table does not match this build")
-        return Vocab(words=list(obj["words"]))
+        try:
+            return Vocab(words=obj.get("words"))
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from None
 
 
 def build_vocab(texts, min_count: int = 1) -> Vocab:
@@ -86,12 +91,11 @@ def tokenize(text: str, vocab: Vocab) -> list[int]:
 
 @dataclass
 class FlatDoc:
-    """One record as an id stream plus structure the packer needs.
+    """One record as the segments the packer places.
 
     segments: ("text", ids) or ("image", ref, ids) where an image segment's
     ids are the atomic unit ([end_of_chunk?] + t*t placeholders).
     """
-    record_id: str
     segments: list[tuple]
 
     @property
@@ -101,28 +105,16 @@ class FlatDoc:
             out.extend(seg[-1])
         return out
 
-    def slots(self) -> list[tuple[int, str]]:
-        """(position of first placeholder in the stream, image ref) pairs."""
-        out, pos = [], 0
-        for seg in self.segments:
-            ids = seg[-1]
-            if seg[0] == "image":
-                first = ids.index(IMAGE_PLACEHOLDER_ID)
-                out.append((pos + first, seg[1]))
-            pos += len(ids)
-        return out
 
-
-def flatten_doc(record, vocab: Vocab, t: int, caption_chunk_marker: bool = False) -> FlatDoc:
+def flatten_doc(record, vocab: Vocab, t: int) -> FlatDoc:
     """Flatten a caption or interleaved record into a FlatDoc.
 
     A caption is the document [image, text].  t is the pooled grid side, so
     each image occupies t*t placeholder ids.  Interleaved images are
-    preceded by end_of_chunk; caption images only when caption_chunk_marker
-    is set.
+    preceded by end_of_chunk; caption images are not.
     """
     record = as_document(record)
-    marker = caption_chunk_marker or record.modality == "interleaved"
+    marker = record.modality == "interleaved"
     image_unit = ([END_OF_CHUNK_ID] if marker else []) + [IMAGE_PLACEHOLDER_ID] * (t * t)
     segments: list[tuple] = []
     n_images = 0
@@ -132,7 +124,7 @@ def flatten_doc(record, vocab: Vocab, t: int, caption_chunk_marker: bool = False
         else:
             segments.append(("image", f"{record.id}#{n_images}", image_unit))
             n_images += 1
-    return FlatDoc(record_id=record.id, segments=segments)
+    return FlatDoc(segments=segments)
 
 
 # --- packing --------------------------------------------------------------------
@@ -147,8 +139,7 @@ class PackedSequence:
         return {"tokens": self.tokens, "slots": self.slots}
 
 
-def pack(records, context_len: int, vocab: Vocab, t: int,
-         caption_chunk_marker: bool = False) -> list[PackedSequence]:
+def pack(records, context_len: int, vocab: Vocab, t: int) -> list[PackedSequence]:
     """Pack records into sequences of exactly context_len ids.
 
     Image runs never split across sequences; the tail of a sequence is padded
@@ -174,14 +165,9 @@ def pack(records, context_len: int, vocab: Vocab, t: int,
         cur_slots.clear()
 
     for record in records:
-        flat = record if isinstance(record, FlatDoc) else flatten_doc(
-            record, vocab, t, caption_chunk_marker)
-        for seg in flat.segments:
+        for seg in flatten_doc(record, vocab, t).segments:
             ids = seg[-1]
             if seg[0] == "image":
-                if len(ids) > context_len:
-                    raise DataError(
-                        f"image run of {len(ids)} ids cannot fit context_len {context_len}")
                 if len(cur) + len(ids) > context_len:
                     flush(pad=True)
                 cur_slots.append({"pos": len(cur) + ids.index(IMAGE_PLACEHOLDER_ID),

@@ -46,6 +46,11 @@ def _train(tmp_path, data_dir, epochs=1, seed=5):
     return ckpt
 
 
+def _tiny_model():
+    cfg = ModelConfig(**{k: v for k, v in TINY_CFG.items() if k not in ("batch_size", "peak_lr")})
+    return QualityModel(cfg, Vocab(words=["fox"]), init_params(cfg, 5, child_rng(0)))
+
+
 def test_full_pipeline_smoke(tmp_path, capsys):
     data = _gen(tmp_path)
     for name in ("train.jsonl", "val.jsonl", "report.json", "manifest.json"):
@@ -308,8 +313,7 @@ def test_out_of_range_inputs_exit_cleanly_without_output(tmp_path, capsys, small
     vocab = tmp_path / "vocab.json"
     Vocab(words=["fox"]).save(vocab)
     ckpt = tmp_path / "model.json"
-    cfg = ModelConfig(**{k: v for k, v in TINY_CFG.items() if k not in ("batch_size", "peak_lr")})
-    save_model(ckpt, QualityModel(cfg, Vocab(words=["fox"]), init_params(cfg, 5, child_rng(0))))
+    save_model(ckpt, _tiny_model())
     scores = tmp_path / "scores.jsonl"
     write_records(scores, [ScoredRecord(id="s", score=1.0, modality="caption")])
     truncated = tmp_path / "truncated.json"
@@ -335,6 +339,53 @@ def test_out_of_range_inputs_exit_cleanly_without_output(tmp_path, capsys, small
         assert json.loads(err)["error"] == "data"
 
 
+@pytest.mark.parametrize("subcommand, breaks, problem", [
+    ("score", lambda ck: {"format": ck["format"]}, "tensors"),
+    ("eval", lambda ck: {**ck, "meta": {k: v for k, v in ck["meta"].items() if k != "config"}},
+     "model config"),
+    ("score", lambda ck: {**ck, "tensors": {**ck["tensors"],
+                                            "head_b": {"shape": [3], "data": [1, 2]}}},
+     "head_b"),
+    ("eval", lambda ck: {**ck, "meta": {**ck["meta"],
+                                        "config": {**ck["meta"]["config"], "depth": 3}}},
+     "depth"),
+    ("pack", lambda vocab: {k: v for k, v in vocab.items() if k != "words"}, "words"),
+], ids=["no-tensors", "no-config", "short-data", "unknown-config-key", "vocab-no-words"])
+def test_malformed_checkpoint_and_vocab_exit_3_naming_the_path(tmp_path, capsys, small_data,
+                                                               subcommand, breaks, problem):
+    path = tmp_path / "broken.json"
+    if subcommand == "pack":
+        Vocab(words=["fox"]).save(path)
+    else:
+        save_model(path, _tiny_model())
+    path.write_text(json.dumps(breaks(json.loads(path.read_text()))))
+    records = str(small_data / "val.jsonl")
+    argv = {"score": ["score", "--checkpoint", str(path), "--in", records],
+            "eval": ["eval", "--checkpoint", str(path), "--val", records],
+            "pack": ["pack", "--in", records, "--vocab", str(path)]}[subcommand]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([*argv, "--out", str(out)]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "data"
+    assert str(path) in err["message"] and problem in err["message"]
+    assert not list(tmp_path.glob("out*"))
+
+
+def test_eval_non_finite_score_exits_4_without_a_report(tmp_path, capsys, small_data):
+    model = _tiny_model()
+    model.params["head_b"][:] = float("nan")
+    ckpt = tmp_path / "nan.json"
+    save_model(ckpt, model)
+    out = tmp_path / "eval.json"
+    capsys.readouterr()
+    rc = main(["eval", "--checkpoint", str(ckpt), "--val", str(small_data / "val.jsonl"),
+               "--out", str(out)])
+    assert rc == 4
+    assert json.loads(capsys.readouterr().err)["error"] == "numeric"
+    assert not list(tmp_path.glob("eval.json*"))
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["train", "--no-such-flag"])
@@ -353,6 +404,24 @@ def test_gen_removed_generator_flags_are_usage_errors(tmp_path):
             main(["gen", "--out", str(tmp_path / "data"), *extra])
         assert exc.value.code == 2, extra
     assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--checkpoint", "m.json", "--val", "v.jsonl", "--seed", "1"],
+    ["score", "--checkpoint", "m.json", "--in", "r.jsonl", "--seed", "1"],
+    ["filter", "--scores", "s.jsonl", "--in", "r.jsonl", "--seed", "1"],
+    ["dfn-filter", "--in", "r.jsonl", "--seed", "1"],
+    ["pack", "--in", "r.jsonl", "--vocab", "v.json", "--seed", "1"],
+    ["stats", "--in", "r.jsonl", "--seed", "1"],
+    ["pack", "--in", "r.jsonl", "--vocab", "v.json", "--caption-chunk-marker"],
+], ids=["eval-seed", "score-seed", "filter-seed", "dfn-filter-seed", "pack-seed", "stats-seed",
+        "pack-caption-chunk-marker"])
+def test_removed_no_op_flags_are_usage_errors(tmp_path, argv):
+    # --seed stays only on gen, train, cluster and bench, which draw random numbers
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert not list(tmp_path.iterdir())
 
 
 def test_train_removed_config_flags_are_usage_errors(tmp_path):
@@ -403,42 +472,29 @@ def test_numeric_blowup_exits_4(tmp_path, capsys):
     assert err["error"] == "numeric"
 
 
-def test_threads_env_var_sets_workers(tmp_path, monkeypatch):
+def test_workers_flag_sets_score_workers(tmp_path):
     data = _gen(tmp_path, seed=6, levels_count=2)
     ckpt = _train(tmp_path, data)
-    monkeypatch.delenv("UNIFILTER_THREADS", raising=False)
-    rc = main(["score", "--checkpoint", str(ckpt), "--in", str(data / "val.jsonl"),
-               "--out", str(tmp_path / "s_default.jsonl")])
-    assert rc == 0
+    score = ["score", "--checkpoint", str(ckpt), "--in", str(data / "val.jsonl")]
+    assert main([*score, "--out", str(tmp_path / "s_default.jsonl")]) == 0
     manifest = json.loads((tmp_path / "s_default.jsonl.manifest.json").read_text())
     assert manifest["config"]["workers"] == len(os.sched_getaffinity(0))
-    monkeypatch.setenv("UNIFILTER_THREADS", "3")
-    rc = main(["score", "--checkpoint", str(ckpt), "--in", str(data / "val.jsonl"),
-               "--out", str(tmp_path / "s_env.jsonl")])
-    assert rc == 0
-    manifest = json.loads((tmp_path / "s_env.jsonl.manifest.json").read_text())
-    assert manifest["config"]["workers"] == 3
-    # explicit flag wins over the env var
-    rc = main(["score", "--checkpoint", str(ckpt), "--in", str(data / "val.jsonl"),
-               "--out", str(tmp_path / "s_flag.jsonl"), "--workers", "2"])
-    manifest = json.loads((tmp_path / "s_flag.jsonl.manifest.json").read_text())
-    assert manifest["config"]["workers"] == 2
-    rc = main(["score", "--checkpoint", str(ckpt), "--in", str(data / "val.jsonl"),
-               "--out", str(tmp_path / "s_one.jsonl"), "--workers", "1"])
-    assert rc == 0
-    # and worker count (default, 3, 2, 1) never changes the scores
     default = (tmp_path / "s_default.jsonl").read_bytes()
     assert default
-    for name in ("s_env.jsonl", "s_flag.jsonl", "s_one.jsonl"):
-        assert (tmp_path / name).read_bytes() == default
+    # the worker count never changes the scores
+    for workers in (3, 2, 1):
+        out = tmp_path / f"s_{workers}.jsonl"
+        assert main([*score, "--out", str(out), "--workers", str(workers)]) == 0
+        manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text())
+        assert manifest["config"]["workers"] == workers
+        assert out.read_bytes() == default
 
 
 def test_blas_thread_policy_in_a_fresh_interpreter(tmp_path):
     """Importing unifilter first sets one BLAS thread unless the user chose a count."""
     data = _gen(tmp_path, seed=6, levels_count=2)
     ckpt = _train(tmp_path, data)
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("OPENBLAS_NUM_THREADS", "UNIFILTER_THREADS")}
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     src = str(Path(unifilter.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     for user_value, expected in ((None, "1"), ("2", "2")):
@@ -462,3 +518,6 @@ def test_every_subcommand_writes_a_manifest(tmp_path):
     manifest = json.loads((tmp_path / "sc.jsonl.manifest.json").read_text())
     assert {"subcommand", "config", "seed", "inputs", "outputs",
             "version", "wall_time_s", "blas_threads"} <= set(manifest)
+    assert manifest["seed"] is None  # score draws no random numbers
+    manifest = json.loads((data / "manifest.json").read_text())
+    assert manifest["seed"] == 9 and "seed" not in manifest["config"]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from unifilter.common import DataError, child_rng
+from unifilter.common import DataError, NumericError, child_rng
 from unifilter.metrics import EvalReport, evaluate, format_report, quantize_score
 
 
@@ -14,6 +14,12 @@ def test_quantize_rounds_half_up_and_clamps():
     assert quantize_score(-0.2) == 0
     assert quantize_score(0.5) == 1
     assert quantize_score(1.4999) == 1
+
+
+@pytest.mark.parametrize("score", [float("nan"), float("inf"), float("-inf")])
+def test_quantize_rejects_non_finite_scores(score):
+    with pytest.raises(NumericError, match="non-finite"):
+        quantize_score(score)
 
 
 def test_quantize_is_monotone():

@@ -82,15 +82,8 @@ def test_flatten_caption_image_then_text():
     vocab = build_vocab(["a short caption"])
     flat = flatten_doc(_caption("a short caption"), vocab, t=2)
     ids = flat.ids
-    assert ids[:4] == [IMAGE_PLACEHOLDER_ID] * 4  # no chunk marker by default
-    assert flat.slots() == [(0, "c0#0")]
+    assert ids[:4] == [IMAGE_PLACEHOLDER_ID] * 4  # a caption image has no chunk marker
     assert len(ids) == 4 + 3
-
-
-def test_flatten_caption_with_chunk_marker():
-    vocab = build_vocab(["words"])
-    flat = flatten_doc(_caption("words"), vocab, t=2, caption_chunk_marker=True)
-    assert flat.ids[:5] == [END_OF_CHUNK_ID] + [IMAGE_PLACEHOLDER_ID] * 4
 
 
 def test_flatten_interleaved_marks_every_image():
@@ -103,7 +96,20 @@ def test_flatten_interleaved_marks_every_image():
     for pos, tid in enumerate(ids):
         if tid == END_OF_CHUNK_ID:
             assert ids[pos + 1:pos + 5] == [IMAGE_PLACEHOLDER_ID] * 4
-    assert [ref for _, ref in flat.slots()] == ["d0#0", "d0#1"]
+
+
+def test_pack_slots_point_at_each_image_run():
+    vocab = build_vocab(["a short caption one two three"])
+    records = [_caption("a short caption"), _doc("d0", ["one two", "three"], n_images=2)]
+    seqs = pack(records, 64, vocab, t=2)
+    slots = [slot for s in seqs for slot in s.slots]
+    assert [slot["image_id"] for slot in slots] == ["c0#0", "d0#0", "d0#1"]
+    tokens = seqs[0].tokens
+    # caption: image at 0, 3 words; doc: 2 words, marker, image at 10, 1 word, marker, image
+    assert [slot["pos"] for slot in slots] == [0, 10, 16]
+    for slot in slots:
+        assert tokens[slot["pos"]] == IMAGE_PLACEHOLDER_ID
+        assert slot["pos"] == 0 or tokens[slot["pos"] - 1] != IMAGE_PLACEHOLDER_ID
 
 
 def test_pack_exact_length_and_conservation():
@@ -172,17 +178,6 @@ def test_pack_rejects_tiny_context():
     vocab = build_vocab(["x"])
     with pytest.raises(DataError):
         pack([_caption("x")], 4, vocab, t=2)  # needs > t*t + 1
-
-
-def test_pack_rejects_oversized_image_run():
-    from unifilter.packing import FlatDoc
-
-    vocab = build_vocab(["x"])
-    # a hand-built run longer than any flatten_doc produces
-    flat = FlatDoc(record_id="d", segments=[
-        ("image", "d#0", [END_OF_CHUNK_ID] + [IMAGE_PLACEHOLDER_ID] * 40)])
-    with pytest.raises(DataError, match="cannot fit"):
-        pack([flat], 32, vocab, t=4)
 
 
 def test_write_packed_emits_jsonl(tmp_path):
