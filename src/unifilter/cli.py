@@ -22,8 +22,8 @@ import numpy as np
 
 from . import clustering, filtering, metrics, synthgen
 from .classifier import ModelConfig, TrainConfig, load_model, save_model, train
-from .common import (DataError, NumericError, __version__, check_counts, check_field,
-                     config_from, dump_json_line, read_json_file, write_json_file)
+from .common import (DataError, NumericError, __version__, atomic_write, check_counts,
+                     check_field, config_from, dump_json_line, read_json_file, write_json_file)
 from .encoder import EncoderConfig
 from .filtering import FilterConfig
 from .packing import Vocab, pack, write_packed
@@ -206,7 +206,7 @@ def _sidecar_rejects(out) -> Path:
 
 
 def _write_rejects(path, rejects: list[dict]):
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for rej in rejects:
             fh.write(dump_json_line(rej) + "\n")
 

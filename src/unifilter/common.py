@@ -10,6 +10,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
@@ -89,8 +92,28 @@ def dump_json_line(obj) -> str:
     return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
 
 
+@contextmanager
+def atomic_write(path):
+    """A text file to write that replaces path only once the block succeeds.
+
+    The file is a temporary beside path, renamed over it by os.replace, so a
+    run that fails or dies mid-write leaves no partial file at path; a failure
+    raised in the block also removes the temporary.  Nothing is fsynced: this
+    guards against the process dying, not against the machine losing power.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_json_file(path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(obj, fh, ensure_ascii=False, indent=2)
         fh.write("\n")
 

@@ -102,14 +102,25 @@ def adaptive_avg_pool_2d(grid: PatchGrid, t: int) -> np.ndarray:
     return out
 
 
+def projector_shapes(cfg: EncoderConfig):
+    """(name, shape, init) of each trainable d_v -> d -> d MLP tensor (prefix-free names)."""
+    yield "proj_w1", (cfg.d_v, cfg.d), "normal"
+    yield "proj_b1", (cfg.d,), "zeros"
+    yield "proj_w2", (cfg.d, cfg.d), "normal"
+    yield "proj_b2", (cfg.d,), "zeros"
+
+
+def init_tensors(layout, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """One tensor per (name, shape, init) of layout: N(0, 0.02) draws, in
+    layout order, for "normal"; ones for "ones"; zeros otherwise."""
+    return {name: rng.normal(0.0, 0.02, size=shape) if init == "normal"
+            else (np.ones if init == "ones" else np.zeros)(shape)
+            for name, shape, init in layout}
+
+
 def init_projector(cfg: EncoderConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
     """Trainable d_v -> d -> d MLP parameters (prefix-free names)."""
-    return {
-        "proj_w1": rng.normal(0.0, 0.02, size=(cfg.d_v, cfg.d)),
-        "proj_b1": np.zeros(cfg.d),
-        "proj_w2": rng.normal(0.0, 0.02, size=(cfg.d, cfg.d)),
-        "proj_b2": np.zeros(cfg.d),
-    }
+    return init_tensors(projector_shapes(cfg), rng)
 
 
 def project(pooled: np.ndarray, params) -> tuple[np.ndarray, tuple]:

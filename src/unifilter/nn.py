@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import erf
 
-from .common import DataError, NumericError, dump_json_line, read_json_file
+from .common import DataError, NumericError, atomic_write, dump_json_line, read_json_file
 
 Params = dict[str, np.ndarray]
 
@@ -367,7 +367,7 @@ def save_tensors(path, tensors: Params, meta: dict | None = None) -> None:
             for name, arr in tensors.items()
         },
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(dump_json_line(obj) + "\n")
 
 

@@ -20,7 +20,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .common import DataError, dump_json_line, read_json_file, write_json_file
+from .common import DataError, atomic_write, dump_json_line, read_json_file, write_json_file
 from .records import as_document
 
 PAD_ID = 0
@@ -189,7 +189,7 @@ def pack(records, context_len: int, vocab: Vocab, t: int) -> list[PackedSequence
 
 
 def write_packed(path, seqs: list[PackedSequence]) -> int:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for s in seqs:
             fh.write(dump_json_line(s.to_obj()))
             fh.write("\n")

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .common import DataError, SchemaError, dump_json_line
+from .common import DataError, SchemaError, atomic_write, dump_json_line
 
 LEVEL_NAMES = {0: "easy_negative", 1: "medium_negative", 2: "hard_negative", 3: "positive"}
 
@@ -363,7 +363,7 @@ def read_records(path, kind: str):
 def write_records(path, records) -> int:
     """Write records (anything with .to_obj()) as JSONL; returns the count."""
     n = 0
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for rec in records:
             fh.write(dump_json_line(rec.to_obj()))
             fh.write("\n")

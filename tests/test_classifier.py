@@ -1,16 +1,22 @@
 """Sequence assembly, the unified forward pass, and the training loop."""
 
 import hashlib
+import math
+import multiprocessing
+import os
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
+from unifilter import classifier
 from unifilter.classifier import (
     ModelConfig,
     QualityModel,
     TrainConfig,
     assemble,
     backward_score,
+    balanced_groups,
     forward_score,
     init_params,
     load_model,
@@ -18,7 +24,7 @@ from unifilter.classifier import (
     train,
     zero_grads,
 )
-from unifilter.common import DataError, child_rng
+from unifilter.common import DataError, NumericError, child_rng
 from unifilter.encoder import EncoderConfig, adaptive_avg_pool_2d, patchify_embed, project
 from unifilter.nn import layer_norm, transformer_block
 from unifilter.packing import build_vocab, tokenize
@@ -29,6 +35,7 @@ from unifilter.records import (
     InterleavedDoc,
     LabeledSample,
 )
+from unifilter.synthgen import make_mock_benchmark
 
 TINY = ModelConfig(d=8, n_layers=1, n_heads=2, max_seq_len=32,
                    encoder=EncoderConfig(patch_size=2, d_v=4, t=2, d=8, seed=0))
@@ -316,3 +323,77 @@ def test_train_history_schema():
                        TrainConfig(epochs=2, batch_size=1, peak_lr=1e-3), seed=0)
     assert len(history) == 2
     assert {"epoch", "train_loss", "val_accuracy", "val_macro_f1", "lr_end"} <= set(history[0])
+
+
+SMALL = ModelConfig(d=16, n_layers=1, n_heads=2, max_seq_len=192,
+                    encoder=EncoderConfig(patch_size=4, d_v=8, t=4, d=16, seed=0))
+SMALL_TRAIN = TrainConfig(epochs=2, batch_size=7, peak_lr=1e-3)
+
+
+def test_balanced_groups_split_by_cost_alone():
+    # costliest first, each to the lightest group, the lower index on a tie
+    assert balanced_groups([5, 1, 4, 2, 3], 2) == [[0, 1, 3], [2, 4]]
+    assert balanced_groups([3], 2) == [[0], []]
+    assert balanced_groups([], 2) == [[], []]
+
+
+@contextmanager
+def cpus(count):
+    """This thread, and so the processes train forks, on `count` of its CPUs:
+    train runs one process on one CPU and two on two."""
+    before = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, sorted(before)[:count])
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, before)
+
+
+two_cpus = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
+
+
+@two_cpus
+def test_train_bytes_do_not_depend_on_the_worker_count():
+    train_s, val_s = make_mock_benchmark(3, 1, seed=4)   # batches of 7, 7, 7 and 3
+    with cpus(1):
+        one, history_one = train(train_s, val_s, SMALL, SMALL_TRAIN, seed=2)
+    with cpus(2):
+        two, history_two = train(train_s, val_s, SMALL, SMALL_TRAIN, seed=2)
+    assert history_one == history_two
+    assert list(one.params) == list(two.params)
+    for name in one.params:
+        assert one.params[name].tobytes() == two.params[name].tobytes(), name
+    assert multiprocessing.active_children() == []
+
+
+@two_cpus
+def test_worker_errors_reach_the_caller_with_their_type(monkeypatch):
+    train_s, val_s = make_mock_benchmark(2, 1, seed=4)
+    # 13 images of 16 tokens exceed max_seq_len 192
+    too_long = LabeledSample(record=InterleavedDoc(id="too-long", items=[
+        DocItem(kind="image", image=_pixels(i)) for i in range(13)]),
+        label=0, level_name="easy_negative")
+    with pytest.raises(DataError, match="too-long"):
+        train(train_s + [too_long], val_s, SMALL, SMALL_TRAIN, seed=0)
+    assert multiprocessing.active_children() == []
+
+    # the same failures raised only in the forked worker, never in this process
+    caller = os.getpid()
+    real_assemble, real_loss = classifier.assemble, classifier.mse_loss
+
+    def assemble(record, *args):
+        if os.getpid() != caller:
+            raise DataError(f"record {record.record.id!r} fails in the worker")
+        return real_assemble(record, *args)
+
+    monkeypatch.setattr(classifier, "assemble", assemble)
+    with pytest.raises(DataError, match="fails in the worker"):
+        train(train_s, val_s, SMALL, SMALL_TRAIN, seed=0)
+    assert multiprocessing.active_children() == []
+
+    monkeypatch.setattr(classifier, "assemble", real_assemble)
+    monkeypatch.setattr(classifier, "mse_loss", lambda pred, target: (
+        (math.nan, 0.0) if os.getpid() != caller else real_loss(pred, target)))
+    with pytest.raises(NumericError, match="non-finite training loss"):
+        train(train_s, val_s, SMALL, SMALL_TRAIN, seed=0)
+    assert multiprocessing.active_children() == []

@@ -350,7 +350,15 @@ def test_out_of_range_inputs_exit_cleanly_without_output(tmp_path, capsys, small
                                         "config": {**ck["meta"]["config"], "depth": 3}}},
      "depth"),
     ("pack", lambda vocab: {k: v for k, v in vocab.items() if k != "words"}, "words"),
-], ids=["no-tensors", "no-config", "short-data", "unknown-config-key", "vocab-no-words"])
+    ("score", lambda ck: {**ck, "tensors": {k: v for k, v in ck["tensors"].items()
+                                            if k != "tok_emb"}}, "tok_emb"),
+    ("eval", lambda ck: {**ck, "tensors": {**ck["tensors"], "blocks.0.wq": {
+        "shape": [16, 8], "data": [0.0] * 128}}}, "blocks.0.wq"),
+    # checked against the file's shapes, never allocated: 10**9 x 16 doubles are 128 GB
+    ("score", lambda ck: {**ck, "meta": {**ck["meta"], "config": {
+        **ck["meta"]["config"], "max_seq_len": 10**9}}}, "pos_emb"),
+], ids=["no-tensors", "no-config", "short-data", "unknown-config-key", "vocab-no-words",
+        "no-tok-emb", "wq-wrong-shape", "huge-max-seq-len"])
 def test_malformed_checkpoint_and_vocab_exit_3_naming_the_path(tmp_path, capsys, small_data,
                                                                subcommand, breaks, problem):
     path = tmp_path / "broken.json"
@@ -384,6 +392,45 @@ def test_eval_non_finite_score_exits_4_without_a_report(tmp_path, capsys, small_
     assert rc == 4
     assert json.loads(capsys.readouterr().err)["error"] == "numeric"
     assert not list(tmp_path.glob("eval.json*"))
+
+
+def test_diverging_training_exits_4_without_a_checkpoint(tmp_path, capsys, small_data):
+    cfg_path = tmp_path / "hot.json"
+    cfg_path.write_text(json.dumps({**TINY_CFG, "peak_lr": 1e6, "epochs": 2}))
+    capsys.readouterr()
+    rc = main(["train", "--train", str(small_data / "train.jsonl"),
+               "--val", str(small_data / "val.jsonl"), "--config", str(cfg_path),
+               "--out-checkpoint", str(tmp_path / "model.json")])
+    assert rc == 4
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "numeric" and "diverged" in err["message"]
+    assert not list(tmp_path.glob("model.json*")) and not (tmp_path / "vocab.json").exists()
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
+def test_too_long_training_record_exits_3_with_one_json_error(tmp_path, capfd, small_data):
+    # At max_seq_len 160 every generated record fits (the longest has 155
+    # positions), so the too-long one is its batch's costliest sample.  It
+    # goes to the training process's group, which fails at once while the
+    # forked worker is still busy with the other group.
+    lines = (small_data / "train.jsonl").read_text().splitlines()
+    doc = next(json.loads(line) for line in lines if json.loads(line)["kind"] == "interleaved")
+    items = doc["record"]["items"]
+    image = next(item for item in items if item["kind"] == "image")
+    text = next(item for item in items if item["kind"] == "text")
+    doc["record"] = {"id": "too-long", "items": [image] * 11 + [text]}  # 11 x 16 > 160
+    train_path = tmp_path / "train.jsonl"
+    train_path.write_text("\n".join(lines + [json.dumps(doc)]) + "\n")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**TINY_CFG, "max_seq_len": 160}))
+    capfd.readouterr()
+    rc = main(["train", "--train", str(train_path), "--val", str(small_data / "val.jsonl"),
+               "--config", str(cfg_path), "--out-checkpoint", str(tmp_path / "model.json")])
+    assert rc == 3
+    err = json.loads(capfd.readouterr().err)     # one JSON object, no worker traceback
+    assert err["error"] == "data" and "'too-long'" in err["message"]
+    assert "exceed max_seq_len" in err["message"]
+    assert not (tmp_path / "model.json").exists()
 
 
 def test_usage_error_exits_2():

@@ -5,7 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from unifilter.common import SchemaError
+from unifilter.cli import _write_rejects
+from unifilter.common import SchemaError, write_json_file
+from unifilter.nn import save_tensors
+from unifilter.packing import write_packed
 from unifilter.records import (
     CaptionSample,
     DocItem,
@@ -164,3 +167,30 @@ def test_patch_grid_roundtrip(tmp_path):
     back = next(read_records(path, "caption"))
     assert back.image.kind == "patch_grid"
     assert np.array_equal(back.image.patches, patches)
+
+
+class _FailsToSerialize:
+    def to_obj(self):
+        raise RuntimeError("the write fails partway")
+
+
+_ONE = ScoredRecord(id="a", score=1.0, modality="caption")
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: write_records(path, [_ONE, _FailsToSerialize()]),
+    lambda path: write_packed(path, [_ONE, _FailsToSerialize()]),
+    lambda path: _write_rejects(path, [{"id": "a"}, {"id": object()}]),
+    lambda path: write_json_file(path, {"a": 1, "b": object()}),
+    lambda path: save_tensors(path, {"w": np.ones(2)}, meta={"b": object()}),
+], ids=["write_records", "write_packed", "write_rejects", "write_json_file", "save_tensors"])
+def test_a_write_that_fails_partway_leaves_no_file(tmp_path, write):
+    path = tmp_path / "out.jsonl"
+    with pytest.raises((RuntimeError, TypeError)):
+        write(path)
+    assert list(tmp_path.iterdir()) == []       # no partial output, no temporary
+    path.write_text("earlier output\n")
+    with pytest.raises((RuntimeError, TypeError)):
+        write(path)
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_text() == "earlier output\n"
