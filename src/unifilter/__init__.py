@@ -7,13 +7,18 @@ step is seeded and byte-reproducible.
 """
 
 import os
+import sys
 
 # One OpenBLAS thread per process: the model's matmuls are too small to gain
-# from BLAS threading, parallelism comes from score workers instead, and
-# scores no longer depend on how many cores the host has.  A value the user
-# set wins.  This must run before numpy loads OpenBLAS, so it has no effect
-# when numpy was imported before unifilter.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+# from BLAS threading, the cores go to train and score processes instead, and
+# scores do not depend on the host's core count.  A value the user set wins.
+# OpenBLAS reads the variable when numpy loads it, so when numpy came first and
+# nothing set it, BLAS_THREADS (a manifest's blas_threads) is None.
+BLAS_THREADS = os.environ.get("OPENBLAS_NUM_THREADS")
+if BLAS_THREADS is None:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    if "numpy" not in sys.modules:
+        BLAS_THREADS = "1"
 
 from .classifier import (  # noqa: E402  (after the thread policy)
     ModelConfig,

@@ -309,7 +309,9 @@ def load_model(path) -> QualityModel:
 
 # --- training ----------------------------------------------------------------------
 
-TRAIN_GROUPS = 2              # gradient groups per batch, one per process of _task_runner
+# Processes of _task_runner, this one and one forked worker: train splits each
+# batch, and filtering.score_corpus its batches, into this many groups.
+TASK_GROUPS = 2
 # A batch loss over this many times the first batch's is divergence.  The first
 # loss counts as at least 1, so a near-perfect first batch (one label-0 sample,
 # say) cannot make an ordinary loss look divergent.
@@ -331,7 +333,8 @@ def _cost(sample, cfg: ModelConfig) -> int:
     assemble gives the sample: its words plus t*t per image, capped at
     max_seq_len.  The 4d^2 term stands for the fixed per-sample cost, which
     dominates short samples: on perfbench's train data the time per sample
-    fit 1.9 + 0.044 n + 0.00015 n^2 ms at d = 64.
+    fit 1.9 + 0.044 n + 0.00015 n^2 ms at d = 64.  It reads cfg's sizes
+    only, so a default ModelConfig() stands in for a scorer without one.
     """
     t2 = cfg.encoder.tokens_per_image()
     n = min(cfg.max_seq_len, sum(t2 if item.kind == "image" else len(tokenize_words(item.text))
@@ -426,7 +429,7 @@ def train(train_samples: list[LabeledSample], val_samples: list[LabeledSample],
     validation accuracy (earliest epoch wins ties).  history has one entry
     per epoch: train_loss, val_accuracy, val_macro_f1, lr_end.
 
-    Each batch splits into TRAIN_GROUPS groups of balanced cost; each group
+    Each batch splits into TASK_GROUPS groups of balanced cost; each group
     adds its samples' gradients, in batch order, into its own slot, and the
     slots are summed in group order before the Adam step.  Parameters, slots
     and validation scores live in one shared mapping, so with two usable
@@ -442,12 +445,12 @@ def train(train_samples: list[LabeledSample], val_samples: list[LabeledSample],
     init = init_params(cfg, len(vocab), rng)
     size = sum(arr.size for arr in init.values())
     n_val = len(val_samples)
-    shared = np.frombuffer(mmap.mmap(-1, 8 * ((1 + TRAIN_GROUPS) * size + n_val)),
+    shared = np.frombuffer(mmap.mmap(-1, 8 * ((1 + TASK_GROUPS) * size + n_val)),
                            dtype=np.float64)
     params = _views(shared[:size], init)
     for name, arr in init.items():
         params[name][...] = arr
-    slots = shared[size:-n_val].reshape(TRAIN_GROUPS, size)
+    slots = shared[size:-n_val].reshape(TASK_GROUPS, size)
     slot_grads = [_views(slot, init) for slot in slots]
     val_scores = shared[-n_val:]
 
@@ -462,7 +465,7 @@ def train(train_samples: list[LabeledSample], val_samples: list[LabeledSample],
     model = QualityModel(config=cfg, vocab=vocab, params=params)
     costs = [_cost(s, cfg) for s in train_samples]
     val_tasks = [("val", group) for group in
-                 balanced_groups([_cost(s, cfg) for s in val_samples], TRAIN_GROUPS)]
+                 balanced_groups([_cost(s, cfg) for s in val_samples], TASK_GROUPS)]
 
     def run_task(task):
         """("val", indices) fills val_scores at those indices.  ("grad", g,
@@ -495,7 +498,7 @@ def train(train_samples: list[LabeledSample], val_samples: list[LabeledSample],
             lr = 0.0
             for b0 in range(0, n, tcfg.batch_size):
                 batch = [int(i) for i in order[b0:b0 + tcfg.batch_size]]
-                groups = balanced_groups([costs[i] for i in batch], TRAIN_GROUPS)
+                groups = balanced_groups([costs[i] for i in batch], TASK_GROUPS)
                 losses = run_pair([("grad", g, [batch[p] for p in group], len(batch))
                                    for g, group in enumerate(groups)])
                 np.add(slots[0], slots[1], out=grad_sum)

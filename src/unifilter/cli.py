@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import clustering, filtering, metrics, synthgen
+from . import BLAS_THREADS, clustering, filtering, metrics, synthgen
 from .classifier import ModelConfig, TrainConfig, load_model, save_model, train
 from .common import (DataError, NumericError, __version__, atomic_write, check_counts,
                      check_field, config_from, dump_json_line, read_json_file, write_json_file)
@@ -39,7 +39,7 @@ class RunManifest:
     outputs: dict
     version: str = __version__
     wall_time_s: float = 0.0
-    blas_threads: str | None = None   # OPENBLAS_NUM_THREADS after the thread policy
+    blas_threads: str | None = None   # BLAS_THREADS: None if numpy loaded OpenBLAS first
 
     def write(self, path):
         write_json_file(path, asdict(self))
@@ -324,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--batch-size", type=int, default=16)
     p.add_argument("--workers", type=int, default=len(os.sched_getaffinity(0)),
-                   help="score worker threads; default the usable CPU count")
+                   help="score processes: 1 scores in this process, 2 or more "
+                        "in this one and one forked worker; default the usable CPU count")
 
     p = add("filter", cmd_filter, "keep the top fraction of records by score")
     p.add_argument("--scores", required=True)
@@ -394,7 +395,7 @@ def main(argv=None) -> int:
         inputs=inputs,
         outputs=outputs,
         wall_time_s=time.perf_counter() - start,
-        blas_threads=os.environ.get("OPENBLAS_NUM_THREADS"),
+        blas_threads=BLAS_THREADS,
     )
     manifest.write(_manifest_path(getattr(args, _PRIMARY_OUT[args.subcommand])))
     return 0

@@ -86,20 +86,31 @@ def patchify_embed(payload: ImagePayload, cfg: EncoderConfig) -> PatchGrid:
     return PatchGrid(h=gh, w=gw, vecs=vecs)
 
 
+@cache
+def _cells(n: int, t: int):
+    """Each pooling cell's indices along a grid axis of length n, padded to
+    the widest cell by repeating the cell's last index, and the mask of the
+    real ones; both (t, widest)."""
+    i = np.arange(t)
+    start, stop = (i * n) // t, -((-(i + 1) * n) // t)[:, None]   # ceil((i+1)*n / t)
+    index = start[:, None] + np.arange((stop[:, 0] - start).max())
+    return np.minimum(index, stop - 1), index < stop
+
+
 def adaptive_avg_pool_2d(grid: PatchGrid, t: int) -> np.ndarray:
-    """Pool an (h, w, d_v) grid down to (t, t, d_v) with adaptive cells."""
+    """Pool an (h, w, d_v) grid down to (t, t, d_v) with adaptive cells.
+
+    One gather takes every cell's rows and columns at once, padded to the
+    widest cell; each cell sums its real entries and divides by their count.
+    """
     h, w = grid.h, grid.w
     if h < t or w < t:
         raise DataError(f"grid {h}x{w} smaller than pooled side {t}")
-    out = np.empty((t, t, grid.vecs.shape[2]), dtype=grid.vecs.dtype)
-    for i in range(t):
-        r0 = (i * h) // t
-        r1 = -((-(i + 1) * h) // t)  # ceil((i+1)*h / t)
-        for j in range(t):
-            c0 = (j * w) // t
-            c1 = -((-(j + 1) * w) // t)
-            out[i, j] = grid.vecs[r0:r1, c0:c1].mean(axis=(0, 1))
-    return out
+    rows, row_real = _cells(h, t)
+    cols, col_real = _cells(w, t)
+    real = (row_real[:, :, None, None] & col_real)[..., None]    # (t, kr, t, kc, 1)
+    cells = np.where(real, grid.vecs[rows[:, :, None, None], cols], 0.0)
+    return cells.sum(axis=(1, 3)) / real.sum(axis=(1, 3))
 
 
 def projector_shapes(cfg: EncoderConfig):

@@ -12,12 +12,12 @@ import gc
 import hashlib
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import cache
 
 import numpy as np
 
+from .classifier import TASK_GROUPS, ModelConfig, _cost, _task_runner, balanced_groups
 from .common import DataError, check_counts, child_rng
 from .encoder import EncoderConfig, patchify_embed
 from .packing import tokenize_words
@@ -35,14 +35,16 @@ class FilterConfig:
 
 def score_corpus(records: list, model, cfg: FilterConfig | None = None,
                  ) -> tuple[list[ScoredRecord], list[dict]]:
-    """Score records in corpus order.
+    """Score records in corpus order with anything that has score_record.
 
     Returns (scored, rejects).  Records the model cannot assemble (over
     length, empty text) or whose score is not finite become reject entries
     instead of aborting the run.  Duplicate record ids are a DataError,
-    raised before anything is scored.  Each sample is forwarded on its own
-    inside a batch, so scores are bitwise independent of batch size and
-    worker count.
+    raised before anything is scored.  The batch_size slices split into
+    TASK_GROUPS groups of balanced cost, estimated from the records alone;
+    with cfg.workers > 1 one forked worker scores the second group (train's
+    task runner).  Each sample is forwarded on its own, so scores are
+    bitwise independent of batch size and worker count.
     """
     cfg = cfg or FilterConfig()
     docs = [as_document(rec) for rec in records]
@@ -52,36 +54,27 @@ def score_corpus(records: list, model, cfg: FilterConfig | None = None,
             raise DataError(f"duplicate record id {doc.id!r}")
         seen.add(doc.id)
 
-    def score_batch(batch: list):
-        out = []
-        for doc in batch:
-            try:
-                score = model.score_record(doc)
-            except DataError as exc:
-                out.append((None, {"id": doc.id, "error": str(exc)}))
-            else:
-                if math.isfinite(score):
-                    out.append((ScoredRecord(id=doc.id, score=score, modality=doc.modality), None))
-                else:
-                    out.append((None, {"id": doc.id, "error": "non-finite score"}))
-        return out
+    def score_one(doc):
+        try:
+            score = model.score_record(doc)
+        except DataError as exc:
+            return None, {"id": doc.id, "error": str(exc)}
+        if not math.isfinite(score):
+            return None, {"id": doc.id, "error": "non-finite score"}
+        return ScoredRecord(id=doc.id, score=score, modality=doc.modality), None
 
     batches = [docs[i:i + cfg.batch_size] for i in range(0, len(docs), cfg.batch_size)]
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            batch_results = list(pool.map(score_batch, batches))
-    else:
-        batch_results = [score_batch(b) for b in batches]
-
-    scored: list[ScoredRecord] = []
-    rejects: list[dict] = []
-    for batch in batch_results:
-        for rec, rej in batch:
-            if rej is not None:
-                rejects.append(rej)
-            else:
-                scored.append(rec)
-    return scored, rejects
+    cost_cfg = ModelConfig()    # default sizes: a scorer need not have a config
+    groups = balanced_groups([sum(_cost(doc, cost_cfg) for doc in batch) for batch in batches],
+                             TASK_GROUPS)
+    by_batch: dict = {}
+    with _task_runner(lambda group: [[score_one(doc) for doc in batches[b]] for b in group],
+                      fork=cfg.workers > 1) as run_pair:
+        for group, results in zip(groups, run_pair(groups)):
+            by_batch.update(zip(group, results))
+    outcomes = [outcome for b in range(len(batches)) for outcome in by_batch[b]]
+    return ([rec for rec, rej in outcomes if rej is None],
+            [rej for rec, rej in outcomes if rej is not None])
 
 
 def _retain_count(n: int, fraction: float) -> int:

@@ -9,11 +9,13 @@ from pathlib import Path
 import pytest
 
 import unifilter
-from unifilter.classifier import ModelConfig, QualityModel, init_params, save_model
+from unifilter.classifier import (TASK_GROUPS, ModelConfig, QualityModel, _cost, balanced_groups,
+                                  init_params, save_model)
 from unifilter.cli import main
 from unifilter.common import DataError, child_rng, read_json_file
 from unifilter.packing import Vocab
-from unifilter.records import ScoredRecord, write_records
+from unifilter.records import (CaptionSample, DocItem, ImagePayload, InterleavedDoc, ScoredRecord,
+                               write_records)
 
 TINY_CFG = {
     "encoder": {"patch_size": 4, "d_v": 8, "t": 4, "d": 16, "seed": 0},
@@ -537,22 +539,64 @@ def test_workers_flag_sets_score_workers(tmp_path):
         assert out.read_bytes() == default
 
 
+def test_score_rejects_from_both_processes_match_one_process(tmp_path, capfd):
+    """Each score process's group holds an over-length record and an image
+    too small to pool; --workers 2 writes --workers 1's bytes."""
+    save_model(tmp_path / "model.json", _tiny_model())    # max_seq_len 96, t = 4
+    rng = child_rng(0, "cli-both-processes")
+
+    def image(side=16):
+        return ImagePayload(pixels=rng.uniform(size=(1, side, side)))
+
+    records = [CaptionSample(id=f"c{i}", image=image(), text="the fox runs") for i in range(8)]
+    for slot, rid in ((1, "long0"), (4, "small0"), (6, "long1"), (9, "small1")):
+        if rid.startswith("long"):      # 7 x 16 image tokens exceed max_seq_len 96
+            items = [DocItem(kind="image", image=image()) for _ in range(7)]
+            items.append(DocItem(kind="text", text="fox"))
+            records.insert(slot, InterleavedDoc(id=rid, items=items))
+        else:                           # a 2 x 2 patch grid cannot pool to 4 x 4
+            records.insert(slot, CaptionSample(id=rid, image=image(side=8), text="fox"))
+    groups = balanced_groups([_cost(r, ModelConfig()) for r in records], TASK_GROUPS)
+    for group in groups:        # one of each kind in each process's group
+        assert sorted(records[i].id[:-1] for i in group if records[i].id[0] != "c") \
+            == ["long", "small"]
+    write_records(tmp_path / "corpus.jsonl", records)
+
+    capfd.readouterr()
+    outputs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"scores{workers}.jsonl"
+        assert main(["score", "--checkpoint", str(tmp_path / "model.json"),
+                     "--in", str(tmp_path / "corpus.jsonl"), "--out", str(out),
+                     "--batch-size", "1", "--workers", workers]) == 0
+        rejects_path = tmp_path / f"scores{workers}.rejects.jsonl"
+        outputs.append((out.read_bytes(), rejects_path.read_bytes()))
+    assert outputs[0] == outputs[1]
+    rejects = [json.loads(line) for line in outputs[0][1].decode().splitlines()]
+    assert [r["id"] for r in rejects] == ["long0", "small0", "long1", "small1"]
+    assert "exceed max_seq_len" in rejects[0]["error"] and "smaller than" in rejects[1]["error"]
+    assert len(outputs[0][0].decode().splitlines()) == 8
+    assert "Traceback" not in capfd.readouterr().err
+
+
 def test_blas_thread_policy_in_a_fresh_interpreter(tmp_path):
-    """Importing unifilter first sets one BLAS thread unless the user chose a count."""
+    """Importing unifilter first sets one BLAS thread unless the user chose a
+    count; after numpy, OpenBLAS keeps its own count and the manifest says so."""
     data = _gen(tmp_path, seed=6, levels_count=2)
     ckpt = _train(tmp_path, data)
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     src = str(Path(unifilter.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    for user_value, expected in ((None, "1"), ("2", "2")):
-        if user_value is not None:
-            env["OPENBLAS_NUM_THREADS"] = user_value
-        out = tmp_path / f"s_blas_{expected}.jsonl"
-        subprocess.run([sys.executable, "-m", "unifilter.cli", "score", "--checkpoint", str(ckpt),
+    cli = "import sys; from unifilter.cli import main; sys.exit(main(sys.argv[1:]))"
+    for name, first, user_value, expected in (("policy", "", None, "1"), ("user", "", "2", "2"),
+                                              ("numpy-first", "import numpy; ", None, None)):
+        run_env = dict(env, **({} if user_value is None else {"OPENBLAS_NUM_THREADS": user_value}))
+        out = tmp_path / f"s_blas_{name}.jsonl"
+        subprocess.run([sys.executable, "-c", first + cli, "score", "--checkpoint", str(ckpt),
                         "--in", str(data / "val.jsonl"), "--out", str(out)],
-                       env=env, check=True, timeout=120)
+                       env=run_env, check=True, timeout=120)
         manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text())
-        assert manifest["blas_threads"] == expected
+        assert manifest["blas_threads"] == expected, name
         assert manifest["config"]["workers"] == len(os.sched_getaffinity(0))
 
 

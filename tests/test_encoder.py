@@ -39,6 +39,30 @@ def test_pool_conserves_mean_on_divisible_grids():
         assert abs(pooled.mean() - vecs.mean()) < 1e-9
 
 
+def _pool_by_loop(vecs, t):
+    """Reference pooling, cell by cell: the mean over rows
+    [floor(i*h/t), ceil((i+1)*h/t)) and the same span of columns."""
+    h, w, _ = vecs.shape
+    out = np.empty((t, t, vecs.shape[2]))
+    for i in range(t):
+        for j in range(t):
+            cell = vecs[i * h // t:-(-(i + 1) * h // t), j * w // t:-(-(j + 1) * w // t)]
+            out[i, j] = cell.mean(axis=(0, 1))
+    return out
+
+
+def test_pool_matches_the_per_cell_loop():
+    # the same sums in another order: equal within the rounding of the largest cell's sum
+    rng = child_rng(0, "pool-loop")
+    for h, w, t in [(16, 16, 4), (8, 12, 4), (5, 7, 3), (7, 5, 4), (13, 9, 6), (20, 11, 7),
+                    (9, 9, 2), (3, 10, 3)]:
+        vecs = 1e3 * rng.normal(size=(h, w, 3))
+        pooled = adaptive_avg_pool_2d(PatchGrid(h=h, w=w, vecs=vecs), t=t)
+        largest = (-(-h // t) + 1) * (-(-w // t) + 1)     # entries in a cell, at most
+        bound = largest * np.finfo(np.float64).eps * np.abs(vecs).max()
+        assert np.abs(pooled - _pool_by_loop(vecs, t)).max() <= bound, (h, w, t)
+
+
 def test_pool_handles_non_divisible_grids():
     rng = child_rng(0, "pool-odd")
     vecs = rng.normal(size=(5, 7, 2))

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+from unifilter.classifier import (TASK_GROUPS, ModelConfig, QualityModel, _cost, balanced_groups,
+                                  init_params)
 from unifilter.common import DataError, child_rng
+from unifilter.encoder import EncoderConfig
 from unifilter.filtering import (
     CorpusStats,
     FilterConfig,
@@ -15,6 +18,7 @@ from unifilter.filtering import (
     select_top_fraction,
     threshold_for_fraction,
 )
+from unifilter.packing import Vocab
 from unifilter.records import (
     CaptionSample,
     DocItem,
@@ -392,6 +396,38 @@ def test_score_corpus_batch_and_worker_invariance():
         out, _ = score_corpus(records, _StubModel(),
                               FilterConfig(batch_size=batch_size, workers=workers))
         assert [(s.id, s.score) for s in out] == [(s.id, s.score) for s in base]
+
+
+def test_score_corpus_rejects_from_both_processes():
+    """Each process's group holds an over-length record and an empty-text
+    caption; two processes give one process's scores and rejects."""
+    cfg = ModelConfig(d=16, n_layers=1, n_heads=2, max_seq_len=96, encoder=EncoderConfig(d=16))
+    model = QualityModel(cfg, Vocab(words=["fox"]), init_params(cfg, 5, child_rng(0)))
+    rng = child_rng(0, "both-processes")
+
+    def image():
+        return ImagePayload(pixels=rng.uniform(size=(1, 16, 16)))
+
+    records = [CaptionSample(id=f"c{i}", image=image(), text="the fox runs") for i in range(8)]
+    for slot, rid in ((1, "long0"), (4, "empty0"), (6, "long1"), (9, "empty1")):
+        if rid.startswith("long"):      # 7 x 16 image tokens exceed max_seq_len 96
+            items = [DocItem(kind="image", image=image()) for _ in range(7)]
+            items.append(DocItem(kind="text", text="fox"))
+            records.insert(slot, InterleavedDoc(id=rid, items=items))
+        else:                           # the reader refuses these; score_corpus rejects them
+            records.insert(slot, CaptionSample(id=rid, image=image(), text=" "))
+    groups = balanced_groups([_cost(r, ModelConfig()) for r in records], TASK_GROUPS)
+    for group in groups:        # one of each kind in each process's group
+        assert sorted(records[i].id[:-1] for i in group if records[i].id[0] != "c") \
+            == ["empty", "long"]
+
+    one = score_corpus(records, model, FilterConfig(batch_size=1, workers=1))
+    two = score_corpus(records, model, FilterConfig(batch_size=1, workers=2))
+    assert two == one
+    scored, rejects = one
+    assert [s.id for s in scored] == [f"c{i}" for i in range(8)]
+    assert [r["id"] for r in rejects] == ["long0", "empty0", "long1", "empty1"]
+    assert "exceed max_seq_len" in rejects[0]["error"] and "empty text" in rejects[1]["error"]
 
 
 def test_filter_config_validation():
