@@ -6,9 +6,10 @@ adaptive pooling and the trainable projector (t*t tokens each); text runs
 through the token embedding table.  One assembler keeps item order for
 both modalities: a caption is the one-image document [image, text].  A
 causal transformer reads the sequence and a d x 1 head on the last position
-emits one raw quality score (no language-model head anywhere).  Training
-minimizes MSE against the 0..3 level labels and keeps the epoch checkpoint
-with the best validation accuracy.
+emits one raw quality score (no language-model head anywhere); nothing is
+cached between records, so a score reads the record's content and the
+parameters alone.  Training minimizes MSE against the 0..3 level labels and
+keeps the epoch checkpoint with the best validation accuracy.
 
 The head reads one position and training fits one scalar, so the last
 block runs transformer_block's last-row case: keys and values cover every
@@ -128,23 +129,9 @@ class AssembledSequence:
         return self.emb.shape[0]
 
 
-def _pooled_vectors(payload, enc_cfg: EncoderConfig, pooled_cache):
-    """Pooled patch vectors of one image, cached by payload object.
-
-    Record ids need not be unique across splits, so the key is the payload
-    itself: the caller keeps every cached payload alive while the cache is.
-    """
-    if pooled_cache is not None and id(payload) in pooled_cache:
-        return pooled_cache[id(payload)]
-    pooled = adaptive_avg_pool_2d(patchify_embed(payload, enc_cfg), enc_cfg.t)
-    if pooled_cache is not None:
-        pooled_cache[id(payload)] = pooled
-    return pooled
-
-
-def assemble(record, cfg: ModelConfig, vocab: Vocab, params: Params,
-             pooled_cache=None) -> AssembledSequence:
-    """Original item order, one projector run per image, no separator tokens.
+def assemble(record, cfg: ModelConfig, vocab: Vocab, params: Params) -> AssembledSequence:
+    """Original item order, no separator tokens, each image pooled and
+    projected from its own payload.
 
     A caption is the one-image document [image, text].  Text is truncated
     from the right, document-wide, until the sequence fits max_seq_len.
@@ -175,8 +162,8 @@ def assemble(record, cfg: ModelConfig, vocab: Vocab, params: Params,
     pos = 0
     for item, ids in zip(items, item_ids):
         if ids is None:
-            img_emb, proj_cache = project(
-                _pooled_vectors(item.image, cfg.encoder, pooled_cache), params)
+            pooled = adaptive_avg_pool_2d(patchify_embed(item.image, cfg.encoder), cfg.encoder.t)
+            img_emb, proj_cache = project(pooled, params)
             chunks.append(img_emb)
             image_blocks.append((pos, proj_cache))
             pos += t2
@@ -267,8 +254,8 @@ class QualityModel:
     vocab: Vocab
     params: Params
 
-    def score_record(self, record, pooled_cache=None) -> float:
-        asm = assemble(record, self.config, self.vocab, self.params, pooled_cache)
+    def score_record(self, record) -> float:
+        asm = assemble(record, self.config, self.vocab, self.params)
         return forward_score(asm, self.config, self.params)[0]
 
 
@@ -323,9 +310,9 @@ def _accuracy(samples: list[LabeledSample], scores) -> tuple[float, float]:
     return report.accuracy, report.macro_f1
 
 
-def validation_accuracy(model: QualityModel, samples: list[LabeledSample], pooled_cache=None):
+def validation_accuracy(model: QualityModel, samples: list[LabeledSample]):
     """Quantized accuracy and macro F1 on labeled samples."""
-    return _accuracy(samples, [model.score_record(s, pooled_cache) for s in samples])
+    return _accuracy(samples, [model.score_record(s) for s in samples])
 
 
 def _cost(sample, cfg: ModelConfig) -> int:
@@ -393,8 +380,9 @@ def _task_runner(run_task, fork: bool):
     With fork, a worker forked here, once, runs `second` while this process
     runs `first`; the worker shares whatever this process mapped shared
     before the fork.  An exception raised in the worker is raised again
-    here with its own type; the worker is joined on the way out, after its
-    pipe closes.  Without fork, this process runs both in turn.
+    here with its own type, and a dead worker as an OSError naming its exit
+    code or signal; the worker is joined on the way out, after its pipe
+    closes.  Without fork, this process runs both in turn.
     """
     if not fork:
         yield lambda tasks: [run_task(task) for task in tasks]
@@ -405,11 +393,23 @@ def _task_runner(run_task, fork: bool):
     proc.start()
     child_end.close()
 
+    def worker_died() -> OSError:
+        proc.join()
+        code = proc.exitcode
+        how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
+        return OSError(f"the forked worker process died ({how})")
+
     def run_pair(tasks: list) -> list:
         first, second = tasks
-        conn.send(second)
+        try:
+            conn.send(second)
+        except BrokenPipeError:
+            raise worker_died() from None
         result = run_task(first)
-        ok, value = conn.recv()
+        try:
+            ok, value = conn.recv()
+        except EOFError:
+            raise worker_died() from None
         if not ok:
             raise value
         return [result, value]
@@ -461,7 +461,6 @@ def train(train_samples: list[LabeledSample], val_samples: list[LabeledSample],
     grad_sum = np.empty(size)
     grads = _views(grad_sum, init)
 
-    pooled_cache: dict = {}
     model = QualityModel(config=cfg, vocab=vocab, params=params)
     costs = [_cost(s, cfg) for s in train_samples]
     val_tasks = [("val", group) for group in
@@ -473,14 +472,14 @@ def train(train_samples: list[LabeledSample], val_samples: list[LabeledSample],
         returns its summed loss."""
         if task[0] == "val":
             for i in task[1]:
-                val_scores[i] = model.score_record(val_samples[i], pooled_cache)
+                val_scores[i] = model.score_record(val_samples[i])
             return 0.0
         _, g, members, batch_len = task
         slots[g].fill(0.0)
         group_loss = 0.0
         for i in members:
             s = train_samples[i]
-            asm = assemble(s, cfg, vocab, params, pooled_cache)
+            asm = assemble(s, cfg, vocab, params)
             pred, cache = forward_score(asm, cfg, params, keep_cache=True)
             loss, dpred = mse_loss(pred, float(s.label))
             group_loss += loss

@@ -224,9 +224,6 @@ def cmd_filter(args):
 
 def cmd_dfn_filter(args):
     records = [as_document(r) for r in _read_all(getattr(args, "in"), "auto")]
-    bad = next((r for r in records if r.modality != "interleaved"), None)
-    if bad is not None:
-        raise DataError(f"record {bad.id!r} is not an interleaved document")
     kept, rejects = filtering.dfn_filter_corpus(records, threshold=args.threshold)
     write_records(args.out, kept)
     rejects_path = _sidecar_rejects(args.out)

@@ -40,9 +40,9 @@ def score_corpus(records: list, model, cfg: FilterConfig | None = None,
     Returns (scored, rejects).  Records the model cannot assemble (over
     length, empty text) or whose score is not finite become reject entries
     instead of aborting the run.  Duplicate record ids are a DataError,
-    raised before anything is scored.  The batch_size slices split into
-    TASK_GROUPS groups of balanced cost, estimated from the records alone;
-    with cfg.workers > 1 one forked worker scores the second group (train's
+    raised before anything is scored.  With cfg.workers > 1 the batch_size
+    slices split into TASK_GROUPS groups of balanced cost, estimated from the
+    records alone, and one forked worker scores the second group (train's
     task runner).  Each sample is forwarded on its own, so scores are
     bitwise independent of batch size and worker count.
     """
@@ -64,12 +64,13 @@ def score_corpus(records: list, model, cfg: FilterConfig | None = None,
         return ScoredRecord(id=doc.id, score=score, modality=doc.modality), None
 
     batches = [docs[i:i + cfg.batch_size] for i in range(0, len(docs), cfg.batch_size)]
+    fork = cfg.workers > 1      # one process scores every batch in order, unsplit
     cost_cfg = ModelConfig()    # default sizes: a scorer need not have a config
-    groups = balanced_groups([sum(_cost(doc, cost_cfg) for doc in batch) for batch in batches],
-                             TASK_GROUPS)
+    groups = (balanced_groups([sum(_cost(doc, cost_cfg) for doc in batch) for batch in batches],
+                              TASK_GROUPS) if fork else [range(len(batches))])
     by_batch: dict = {}
     with _task_runner(lambda group: [[score_one(doc) for doc in batches[b]] for b in group],
-                      fork=cfg.workers > 1) as run_pair:
+                      fork=fork) as run_pair:
         for group, results in zip(groups, run_pair(groups)):
             by_batch.update(zip(group, results))
     outcomes = [outcome for b in range(len(batches)) for outcome in by_batch[b]]
@@ -169,19 +170,21 @@ def dfn_image_embedding(payload: ImagePayload):
     return vec / norm
 
 
-def dfn_filter_doc(doc: InterleavedDoc, text_embed_fn, image_embed_fn,
+def dfn_filter_doc(doc: CaptionSample | InterleavedDoc, text_embed_fn, image_embed_fn,
                    threshold: float):
     """Keep an image iff its max cosine similarity against the same
     document's paragraphs reaches the threshold; text items are never
-    removed.  Returns the filtered doc, or None when no image survives.
+    removed.  Returns doc itself when every image survives, None when none
+    does, else a new InterleavedDoc, so a caption comes back as it is or None.
 
     Each contiguous text item counts as one paragraph.  An image (or a doc)
     without a usable embedding scores -1, so only threshold <= -1 keeps it.
     """
-    paragraphs = [p for p in (text_embed_fn(item.text) for item in doc.items
+    items = doc.items
+    paragraphs = [p for p in (text_embed_fn(item.text) for item in items
                               if item.kind == "text") if p is not None]
     kept_items = []
-    for item in doc.items:
+    for item in items:
         if item.kind == "text":
             kept_items.append(item)
             continue
@@ -192,19 +195,20 @@ def dfn_filter_doc(doc: InterleavedDoc, text_embed_fn, image_embed_fn,
             max_sim = max(float(np.dot(emb, p)) for p in paragraphs)
         if max_sim >= threshold:
             kept_items.append(item)
+    if len(kept_items) == len(items):
+        return doc
     if not any(item.kind == "image" for item in kept_items):
         return None
     return InterleavedDoc(id=doc.id, items=kept_items)
 
 
-def dfn_filter_corpus(docs: list[InterleavedDoc], threshold: float = 0.15,
-                      text_embed_fn=None, image_embed_fn=None,
-                      ) -> tuple[list[InterleavedDoc], list[dict]]:
-    """Apply dfn_filter_doc across a corpus.  Docs that lose every image are
-    returned as reject entries (they cannot serve interleaved pretraining)."""
+def dfn_filter_corpus(docs: list, threshold: float = 0.15,
+                      text_embed_fn=None, image_embed_fn=None) -> tuple[list, list[dict]]:
+    """Apply dfn_filter_doc across captions and documents.  Records that lose
+    every image are returned as reject entries."""
     text_embed_fn = text_embed_fn or hashed_text_embedding
     image_embed_fn = image_embed_fn or dfn_image_embedding
-    kept: list[InterleavedDoc] = []
+    kept: list = []
     rejects: list[dict] = []
     for doc in docs:
         filtered = dfn_filter_doc(doc, text_embed_fn, image_embed_fn, threshold)

@@ -314,20 +314,19 @@ def adam_step(params: Params, grads: Params, state: AdamState) -> float:
 # --- gradient checking ---------------------------------------------------------------
 
 
-def grad_check(f, params: Params, eps: float = 1e-5, param_names=None):
+def grad_check(f, params: Params, eps: float = 1e-5):
     """Central-difference check of analytic gradients.
 
     f(params) must return (loss, grads) with grads keyed like params.  Every
-    entry of every checked parameter is perturbed by +/- eps.  Returns the
-    worst relative error, |analytic - numeric| / max(|analytic|, |numeric|,
-    1e-6).  Use float64 parameters; float32 cannot pass a 1e-4 gate.
+    entry of every parameter is perturbed by +/- eps.  Returns the worst
+    relative error, |analytic - numeric| / max(|analytic|, |numeric|, 1e-6).
+    Use float64 parameters; float32 cannot pass a 1e-4 gate.
     """
     loss0, grads = f(params)
     if not np.isfinite(loss0):
         raise NumericError("loss is not finite at the probe point")
-    names = list(params) if param_names is None else list(param_names)
     worst = 0.0
-    for name in names:
+    for name in list(params):
         p = params[name]
         g = np.asarray(grads[name], dtype=np.float64)
         flat = p.reshape(-1)

@@ -72,14 +72,12 @@ class Vocab:
             raise DataError(f"{path}: {exc}") from None
 
 
-def build_vocab(texts, min_count: int = 1) -> Vocab:
+def build_vocab(texts) -> Vocab:
     """Frequency-sorted vocab (count desc, then word) from an iterable of texts."""
     counts = Counter()
     for text in texts:
         counts.update(tokenize_words(text))
-    kept = [w for w, c in counts.items() if c >= min_count]
-    kept.sort(key=lambda w: (-counts[w], w))
-    return Vocab(words=kept)
+    return Vocab(words=sorted(counts, key=lambda w: (-counts[w], w)))
 
 
 def tokenize(text: str, vocab: Vocab) -> list[int]:

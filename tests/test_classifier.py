@@ -99,19 +99,6 @@ def test_interleaved_layout_preserves_item_order():
         assert np.array_equal(asm.emb[start:start + t2], _image_rows(model, seed))
 
 
-def test_pooled_cache_keeps_apart_records_that_share_an_id():
-    """Ids repeat across splits; a shared cache must not mix up their images."""
-    model = _model()
-    first = CaptionSample(id="same", image=_pixels(1), text="a fox rests")
-    second = CaptionSample(id="same", image=_pixels(2), text="a fox rests")
-    cache = {}
-    for record in (first, second):
-        cached = assemble(record, TINY, model.vocab, model.params, cache)
-        uncached = assemble(record, TINY, model.vocab, model.params)
-        assert np.array_equal(cached.emb, uncached.emb)
-    assert len(cache) == 2
-
-
 def test_caption_truncates_text_to_fit():
     model = _model()
     long_text = " ".join(["word"] * 100)

@@ -1,7 +1,9 @@
 """End-to-end pipeline runs through the command line entry point."""
 
 import json
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -130,15 +132,26 @@ def test_dfn_filter_pack_stats_cli(tmp_path):
     data = _gen(tmp_path, seed=8, levels_count=2)
     ckpt = _train(tmp_path, data)
 
+    from unifilter.records import InterleavedDoc, read_records, write_records
+
+    # a caption is its one-image document: kept unchanged, or a reject
+    records = [r.record for r in read_records(data / "train.jsonl", "labeled")]
+    assert any(r.modality == "caption" for r in records)
+    write_records(tmp_path / "unchanged.jsonl", records)
     rc = main(["dfn-filter", "--in", str(data / "train.jsonl"),
-               "--threshold", "-1.0", "--out", str(tmp_path / "dfn.jsonl")])
-    assert rc == 3  # caption records in the stream are a data error
+               "--threshold", "-1.0", "--out", str(tmp_path / "mixed.jsonl")])
+    assert rc == 0
+    assert (tmp_path / "mixed.jsonl").read_bytes() == (tmp_path / "unchanged.jsonl").read_bytes()
+    rc = main(["dfn-filter", "--in", str(data / "train.jsonl"),
+               "--threshold", "1.5", "--out", str(tmp_path / "mixed.jsonl")])
+    assert rc == 0      # no cosine reaches 1.5: every record is a reject
+    assert (tmp_path / "mixed.jsonl").read_text() == ""
+    rejects = [json.loads(line) for line in
+               (tmp_path / "mixed.rejects.jsonl").read_text().splitlines()]
+    assert [r["id"] for r in rejects] == [r.id for r in records]
 
     docs_only = tmp_path / "docs.jsonl"
-    from unifilter.records import InterleavedDoc, LabeledSample, read_records, write_records
-
-    docs = [r.record for r in read_records(data / "train.jsonl", "labeled")
-            if isinstance(r.record, InterleavedDoc)]
+    docs = [r for r in records if isinstance(r, InterleavedDoc)]
     write_records(docs_only, docs)
     rc = main(["dfn-filter", "--in", str(docs_only), "--threshold", "-1.0",
                "--out", str(tmp_path / "dfn.jsonl")])
@@ -433,6 +446,75 @@ def test_too_long_training_record_exits_3_with_one_json_error(tmp_path, capfd, s
     assert err["error"] == "data" and "'too-long'" in err["message"]
     assert "exceed max_seq_len" in err["message"]
     assert not (tmp_path / "model.json").exists()
+
+
+def _kill_the_worker_at_its_first_assembly(monkeypatch):
+    """The forked worker SIGKILLs itself inside its first task; this process
+    assembles as usual."""
+    from unifilter import classifier
+
+    parent, real = os.getpid(), classifier.assemble
+
+    def assemble(*args):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(*args)
+
+    monkeypatch.setattr(classifier, "assemble", assemble)
+
+
+def _assert_one_dead_worker_error(capfd):
+    err = capfd.readouterr().err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    obj = json.loads(err)
+    assert obj["error"] == "data" and f"killed by signal {signal.SIGKILL}" in obj["message"]
+    assert multiprocessing.active_children() == []
+
+
+def _kill_the_idle_worker_at_the_first_adam_step(monkeypatch):
+    """This process SIGKILLs the worker, and waits for it to die, while the
+    worker waits for its next task."""
+    from unifilter import classifier
+
+    real = classifier.adam_step
+
+    def adam_step(*args):
+        for child in multiprocessing.active_children():
+            os.kill(child.pid, signal.SIGKILL)
+            child.join(timeout=30)
+            assert not child.is_alive()
+        return real(*args)
+
+    monkeypatch.setattr(classifier, "adam_step", adam_step)
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
+@pytest.mark.parametrize("kill", [_kill_the_worker_at_its_first_assembly,
+                                  _kill_the_idle_worker_at_the_first_adam_step],
+                         ids=["in-task", "idle"])
+def test_train_worker_death_exits_3_with_one_json_error(tmp_path, capfd, small_data,
+                                                        monkeypatch, kill):
+    kill(monkeypatch)
+    capfd.readouterr()
+    rc = main(["train", "--train", str(small_data / "train.jsonl"),
+               "--val", str(small_data / "val.jsonl"), "--config", _write_cfg(tmp_path),
+               "--out-checkpoint", str(tmp_path / "model.json")])
+    assert rc == 3
+    _assert_one_dead_worker_error(capfd)
+    assert not list(tmp_path.glob("model.json*")) and not (tmp_path / "vocab.json").exists()
+
+
+def test_score_worker_death_exits_3_with_one_json_error(tmp_path, capfd, small_data,
+                                                        monkeypatch):
+    save_model(tmp_path / "model.json", _tiny_model())
+    _kill_the_worker_at_its_first_assembly(monkeypatch)
+    capfd.readouterr()
+    rc = main(["score", "--checkpoint", str(tmp_path / "model.json"),
+               "--in", str(small_data / "train.jsonl"), "--out", str(tmp_path / "scores.jsonl"),
+               "--batch-size", "1", "--workers", "2"])
+    assert rc == 3
+    _assert_one_dead_worker_error(capfd)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
 
 
 def test_usage_error_exits_2():

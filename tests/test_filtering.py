@@ -183,6 +183,18 @@ def test_dfn_drops_image_below_threshold_and_doc_without_images():
     assert kept is None  # sims [0.1] -> image removed -> no image left
 
 
+def test_dfn_reads_a_caption_as_its_one_image_document():
+    e1 = _unit([1.0, 0.0])
+    paras = {"near": _unit([0.5, np.sqrt(0.75)]), "far": _unit([0.1, np.sqrt(0.99)])}
+    image = ImagePayload(patches=np.ones((1, 1, 2)))
+    near = CaptionSample(id="near", image=image, text="near")
+    far = CaptionSample(id="far", image=image, text="far")
+    assert dfn_filter_doc(near, paras.__getitem__, lambda img: e1, 0.15) is near
+    assert dfn_filter_doc(far, paras.__getitem__, lambda img: e1, 0.15) is None
+    kept, rejects = dfn_filter_corpus([far, near], 0.15, paras.__getitem__, lambda img: e1)
+    assert kept == [near] and [r["id"] for r in rejects] == ["far"]
+
+
 def test_dfn_five_doc_corpus_exact_keep_drop():
     """Hand-built corpus with prescribed unit vectors; checked per image."""
     basis = np.eye(3)
@@ -396,6 +408,21 @@ def test_score_corpus_batch_and_worker_invariance():
         out, _ = score_corpus(records, _StubModel(),
                               FilterConfig(batch_size=batch_size, workers=workers))
         assert [(s.id, s.score) for s in out] == [(s.id, s.score) for s in base]
+
+
+def test_score_corpus_estimates_costs_only_when_it_forks(monkeypatch):
+    """One process scores its batches in order: the cost split is skipped."""
+    from unifilter import filtering
+
+    calls = []
+    monkeypatch.setattr(filtering, "_cost", lambda doc, cfg: calls.append(doc.id) or 1)
+    img = ImagePayload(pixels=np.zeros((1, 2, 2)))
+    records = [CaptionSample(id=f"s{i}", image=img, text="t") for i in range(7)]
+    one = score_corpus(records, _StubModel(), FilterConfig(batch_size=2, workers=1))
+    assert calls == []
+    two = score_corpus(records, _StubModel(), FilterConfig(batch_size=2, workers=2))
+    assert sorted(calls) == sorted(r.id for r in records)
+    assert one == two
 
 
 def test_score_corpus_rejects_from_both_processes():

@@ -63,12 +63,6 @@ def test_vocab_orders_by_frequency_then_word():
     assert vocab.id_of("c") == N_RESERVED + 2
 
 
-def test_vocab_min_count_cutoff():
-    vocab = build_vocab(["rare common common"], min_count=2)
-    assert vocab.id_of("common") >= N_RESERVED
-    assert vocab.id_of("rare") == UNK_ID
-
-
 def test_vocab_roundtrip_through_file(tmp_path):
     vocab = build_vocab(["alpha beta gamma alpha"])
     path = tmp_path / "vocab.json"
