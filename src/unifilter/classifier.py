@@ -197,13 +197,17 @@ def forward_score(asm: AssembledSequence, cfg: ModelConfig, params: Params,
 
     Every block but the last runs on every position; the last block runs
     its query, attention and MLP for the last row only, and the final LN
-    and head see that row.
+    and head see that row.  keep_cache keeps every block's activations for
+    backward_score.  Without it, the forward-only pass of score, eval,
+    validation and bench, the cache is None and the blocks keep nothing, so
+    memory grows with one attention tile, (heads, ATTN_TILE, n), not n^2;
+    the score is bitwise the same.
     """
     x = _embed(asm, params)
     block_caches = []
     for i in range(cfg.n_layers):
         x, cache = transformer_block(x, _subparams(params, f"blocks.{i}."), cfg.n_heads,
-                                     last_only=i == cfg.n_layers - 1)
+                                     last_only=i == cfg.n_layers - 1, keep_cache=keep_cache)
         block_caches.append(cache)
     h, ln_cache = layer_norm(x, params["ln_f_g"], params["ln_f_b"])
     score = _head(h[0], params)

@@ -52,11 +52,16 @@ def _manifest_path(primary_out) -> Path:
     return out.with_name(out.name + ".manifest.json")
 
 
-def _read_all(path, kind: str) -> list:
+def _stream(path, kind: str):
+    """read_records(path, kind), with a missing file a DataError naming it."""
     try:
-        return list(read_records(path, kind))
+        yield from read_records(path, kind)
     except FileNotFoundError:
-        raise DataError(f"missing input file: {path}")
+        raise DataError(f"missing input file: {path}") from None
+
+
+def _read_all(path, kind: str) -> list:
+    return list(_stream(path, kind))
 
 
 def _seed(text: str) -> int:
@@ -84,6 +89,7 @@ def _csv_ints(text: str) -> list[int]:
 
 
 def cmd_gen(args):
+    check_counts(args, "levels_count")
     out_dir = Path(args.out)
     counts = {level: args.levels_count for level in range(4)}
     n_pool = 4 * args.levels_count  # exactly enough sources for every level
@@ -186,9 +192,9 @@ def cmd_eval(args):
 
 def cmd_score(args):
     model = load_model(args.checkpoint)
-    records = _read_all(getattr(args, "in"), "auto")
     fcfg = FilterConfig(batch_size=args.batch_size, workers=args.workers)
-    scored, rejects = filtering.score_corpus(records, model, fcfg)
+    # streamed: score_corpus holds one chunk of the corpus at a time
+    scored, rejects = filtering.score_corpus(_stream(getattr(args, "in"), "auto"), model, fcfg)
     write_records(args.out, scored)
     rejects_path = _sidecar_rejects(args.out)
     _write_rejects(rejects_path, rejects)
@@ -223,6 +229,7 @@ def cmd_filter(args):
 
 
 def cmd_dfn_filter(args):
+    check_field(args, "threshold", lambda v: True, "a finite number")
     records = [as_document(r) for r in _read_all(getattr(args, "in"), "auto")]
     kept, rejects = filtering.dfn_filter_corpus(records, threshold=args.threshold)
     write_records(args.out, kept)

@@ -104,7 +104,11 @@ def atomic_write(path):
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
+        fh = open(tmp, "w", encoding="utf-8")
+    except OSError as exc:      # name the path the caller gave, not the temporary
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+    try:
+        with fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -118,11 +122,14 @@ def write_json_file(path, obj) -> None:
         fh.write("\n")
 
 
-def read_json_file(path) -> dict:
-    """The JSON object in a file; DataError names the path when there is none."""
+def read_json_file(path, object_hook=None) -> dict:
+    """The JSON object in a file; DataError names the path when there is none.
+
+    object_hook, as for json.load, sees each object as the parser completes it.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            obj = json.load(fh, object_hook=object_hook)
     except FileNotFoundError:
         raise DataError(f"missing input file: {path}") from None
     except UnicodeDecodeError:

@@ -14,6 +14,7 @@ import math
 import time
 from dataclasses import asdict, dataclass
 from functools import cache
+from itertools import islice
 
 import numpy as np
 
@@ -33,26 +34,29 @@ class FilterConfig:
         check_counts(self, "batch_size", "workers")
 
 
-def score_corpus(records: list, model, cfg: FilterConfig | None = None,
+# Batches score_corpus reads and scores at a time: the most records it holds
+# is this many times the batch size.
+CHUNK_BATCHES = 16
+
+
+def score_corpus(records, model, cfg: FilterConfig | None = None,
                  ) -> tuple[list[ScoredRecord], list[dict]]:
     """Score records in corpus order with anything that has score_record.
 
+    records is any iterable, a reader's generator among them: it is read
+    CHUNK_BATCHES batches at a time, so only one chunk of records is held.
     Returns (scored, rejects).  Records the model cannot assemble (over
     length, empty text) or whose score is not finite become reject entries
-    instead of aborting the run.  Duplicate record ids are a DataError,
-    raised before anything is scored.  With cfg.workers > 1 the batch_size
-    slices split into TASK_GROUPS groups of balanced cost, estimated from the
-    records alone, and one forked worker scores the second group (train's
-    task runner).  Each sample is forwarded on its own, so scores are
-    bitwise independent of batch size and worker count.
+    instead of aborting the run.  A duplicate record id is a DataError,
+    raised before the chunk it arrives in is scored.  With cfg.workers > 1
+    one worker is forked before the first chunk (train's task runner); each
+    chunk's batches split into TASK_GROUPS groups of balanced cost,
+    estimated from the records alone, and the worker scores the second
+    group, which it receives and returns over the runner's pipe.  Each
+    sample is forwarded on its own, so scores are bitwise independent of
+    chunk size, batch size and worker count.
     """
     cfg = cfg or FilterConfig()
-    docs = [as_document(rec) for rec in records]
-    seen: set[str] = set()
-    for doc in docs:
-        if doc.id in seen:
-            raise DataError(f"duplicate record id {doc.id!r}")
-        seen.add(doc.id)
 
     def score_one(doc):
         try:
@@ -63,19 +67,34 @@ def score_corpus(records: list, model, cfg: FilterConfig | None = None,
             return None, {"id": doc.id, "error": "non-finite score"}
         return ScoredRecord(id=doc.id, score=score, modality=doc.modality), None
 
-    batches = [docs[i:i + cfg.batch_size] for i in range(0, len(docs), cfg.batch_size)]
     fork = cfg.workers > 1      # one process scores every batch in order, unsplit
     cost_cfg = ModelConfig()    # default sizes: a scorer need not have a config
-    groups = (balanced_groups([sum(_cost(doc, cost_cfg) for doc in batch) for batch in batches],
-                              TASK_GROUPS) if fork else [range(len(batches))])
-    by_batch: dict = {}
-    with _task_runner(lambda group: [[score_one(doc) for doc in batches[b]] for b in group],
+    seen: set[str] = set()
+    scored, rejects = [], []
+    records = iter(records)
+    with _task_runner(lambda batches: [[score_one(doc) for doc in batch] for batch in batches],
                       fork=fork) as run_pair:
-        for group, results in zip(groups, run_pair(groups)):
-            by_batch.update(zip(group, results))
-    outcomes = [outcome for b in range(len(batches)) for outcome in by_batch[b]]
-    return ([rec for rec, rej in outcomes if rej is None],
-            [rej for rec, rej in outcomes if rej is not None])
+        while docs := [as_document(rec)
+                       for rec in islice(records, CHUNK_BATCHES * cfg.batch_size)]:
+            for doc in docs:
+                if doc.id in seen:
+                    raise DataError(f"duplicate record id {doc.id!r}")
+                seen.add(doc.id)
+            batches = [docs[i:i + cfg.batch_size] for i in range(0, len(docs), cfg.batch_size)]
+            groups = (balanced_groups([sum(_cost(doc, cost_cfg) for doc in batch)
+                                       for batch in batches], TASK_GROUPS)
+                      if fork else [range(len(batches))])
+            by_batch: dict = {}
+            for group, results in zip(groups, run_pair([[batches[b] for b in group]
+                                                        for group in groups])):
+                by_batch.update(zip(group, results))
+            for b in range(len(batches)):
+                for rec, rej in by_batch[b]:
+                    if rej is None:
+                        scored.append(rec)
+                    else:
+                        rejects.append(rej)
+    return scored, rejects
 
 
 def _retain_count(n: int, fraction: float) -> int:

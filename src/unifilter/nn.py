@@ -2,10 +2,11 @@
 
 There is no autodiff here.  The architecture is fixed (pre-LN blocks, causal
 multi-head attention, GELU MLP), so every op ships a forward that returns a
-cache and a backward that consumes it.  Attention and the block have one
-forward and one backward each, with one choice of query rows: all n rows
-under the causal mask, or the last row only (last_only), which attends to
-every row.  Attention runs its query rows in tiles of ATTN_TILE rows, each
+cache and a backward that consumes it; with keep_cache=False, for a forward
+that no backward follows, the block keeps nothing.  Attention and the block
+have one forward and one backward each, with one choice of query rows: all n
+rows under the causal mask, or the last row only (last_only), which attends
+to every row.  Attention runs its query rows in tiles of ATTN_TILE rows, each
 scored against only the keys it can see, so its largest buffer is
 (heads, ATTN_TILE, n), never (heads, n, n).  All math is plain numpy on
 (seq, dim) matrices; parameters live in a flat dict of named float arrays,
@@ -37,7 +38,9 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return x @ w + b
+    y = x @ w
+    y += b
+    return y
 
 
 def linear_backward(dy, x, w):
@@ -45,15 +48,22 @@ def linear_backward(dy, x, w):
     return dy @ w.T, x.T @ dy, dy.sum(axis=0)
 
 
-def gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def gelu(x: np.ndarray, keep_cdf: bool = True):
     """Exact erf-based GELU.  Returns (y, cdf) with y = x * cdf.
 
     cdf is the normal CDF at x, which gelu_backward reuses so erf runs once
     per activation.  Scaling by 0.5 is exact, so y is bitwise equal to
-    0.5 * x * (1 + erf) over the same erf values.
+    0.5 * x * (1 + erf) over the same erf values.  Without keep_cdf, y is
+    written over the CDF's buffer and cdf is None: one array beside x, not two.
     """
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-    return x * cdf, cdf
+    cdf = x * _INV_SQRT2
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    if keep_cdf:
+        return x * cdf, cdf
+    cdf *= x
+    return cdf, None
 
 
 def gelu_backward(dy, x, cdf):
@@ -103,7 +113,8 @@ _CAUSAL_MASK = np.triu(np.full((ATTN_TILE, ATTN_TILE), -np.inf), k=1)
 _CAUSAL_MASK.flags.writeable = False
 
 
-def causal_self_attention(x: np.ndarray, p: Params, n_heads: int, last_only: bool = False):
+def causal_self_attention(x: np.ndarray, p: Params, n_heads: int, last_only: bool = False,
+                          keep_cache: bool = True):
     """Multi-head causal self-attention on a single (n, d) sequence.
 
     p holds wq,bq,wk,bk,wv,bv,wo,bo.  Keys and values cover all n rows.
@@ -116,7 +127,9 @@ def causal_self_attention(x: np.ndarray, p: Params, n_heads: int, last_only: boo
     (b-a, b-a) block is masked.  n <= ATTN_TILE is the one-tile case, and
     last_only the one-row tile a = n-1, whose one diagonal cell is unmasked.
     The cache keeps each tile's (heads, b-a, b) attention, so no (heads, n, n)
-    array is built.
+    array is built.  Without keep_cache the cache is None and each tile is
+    freed before the next is built, so one (heads, ATTN_TILE, n) tile is the
+    largest buffer.
     """
     n, d = x.shape
     dh = d // n_heads
@@ -142,10 +155,13 @@ def causal_self_attention(x: np.ndarray, p: Params, n_heads: int, last_only: boo
         tile[:, :, a:] += _CAUSAL_MASK[:b - a, :b - a]
         softmax_rows(tile)
         outh[:, rows] = tile @ vh[:, :b]
-        tiles.append(tile)
+        if keep_cache:
+            tiles.append(tile)
+        del tile
     out = linear(concat, p["wo"], p["bo"])
-    cache = (x, p, n_heads, qh, kh, vh, tiles, concat, scale)
-    return out, cache
+    if not keep_cache:
+        return out, None
+    return out, (x, p, n_heads, qh, kh, vh, tiles, concat, scale)
 
 
 def causal_self_attention_backward(dy, cache):
@@ -196,10 +212,20 @@ def causal_self_attention_backward(dy, cache):
 # --- transformer block ------------------------------------------------------------
 
 
-def _mlp_sublayer(x1: np.ndarray, p: Params):
-    """x1 + MLP(LN2(x1)) with GELU, the second half of a block.  Returns (out, cache)."""
+def _mlp_sublayer(x1: np.ndarray, p: Params, keep_cache: bool = True):
+    """x1 + MLP(LN2(x1)) with GELU, the second half of a block.  Returns
+    (out, cache), the cache None without keep_cache, when each intermediate
+    is dropped once the next op has read it."""
     h2, ln2_cache = layer_norm(x1, p["ln2_g"], p["ln2_b"])
     m1 = linear(h2, p["w1"], p["b1"])
+    if not keep_cache:
+        del h2, ln2_cache
+        g, _ = gelu(m1, keep_cdf=False)
+        del m1
+        m2 = linear(g, p["w2"], p["b2"])
+        del g
+        m2 += x1    # x1 + m2: addition commutes bitwise
+        return m2, None
     g, cdf = gelu(m1)
     m2 = linear(g, p["w2"], p["b2"])
     return x1 + m2, (ln2_cache, h2, m1, g, cdf, p)
@@ -217,18 +243,26 @@ def _mlp_sublayer_backward(dy, cache):
                  "ln2_g": dln2_g, "ln2_b": dln2_b}
 
 
-def transformer_block(x: np.ndarray, p: Params, n_heads: int, last_only: bool = False):
+def transformer_block(x: np.ndarray, p: Params, n_heads: int, last_only: bool = False,
+                      keep_cache: bool = True):
     """Pre-LN block: x + Attn(LN(x)), then x + MLP(LN(x)) with GELU.
 
     With last_only the block returns its last row alone, (1, d): LN1, keys
     and values still cover every row, while the query, attention, residual
     and MLP run on the last row.  A block whose output feeds only the last
-    position's head needs no other row.
+    position's head needs no other row.  Without keep_cache, for a forward
+    that no backward follows, the cache is None and no activation outlives
+    the op that reads it; the output is bitwise the same.
     """
     h1, ln1_cache = layer_norm(x, p["ln1_g"], p["ln1_b"])
-    a, attn_cache = causal_self_attention(h1, p, n_heads, last_only)
-    out, mlp_cache = _mlp_sublayer((x[-1:] if last_only else x) + a, p)
-    return out, (ln1_cache, attn_cache, mlp_cache)
+    if not keep_cache:
+        ln1_cache = None
+    a, attn_cache = causal_self_attention(h1, p, n_heads, last_only, keep_cache)
+    del h1
+    x1 = (x[-1:] if last_only else x) + a
+    del a
+    out, mlp_cache = _mlp_sublayer(x1, p, keep_cache)
+    return out, ((ln1_cache, attn_cache, mlp_cache) if keep_cache else None)
 
 
 def transformer_block_backward(dy, cache):
@@ -350,29 +384,55 @@ def grad_check(f, params: Params, eps: float = 1e-5):
 # --- named-tensor checkpoints ----------------------------------------------------------
 
 TENSOR_FORMAT = "unifilter-tensors-v1"
+SAVE_FLOATS = 4096  # floats save_tensors turns into text at a time
 
 
 def save_tensors(path, tensors: Params, meta: dict | None = None) -> None:
     """JSON checkpoint of named arrays; floats keep full repr precision.
 
     Written as one compact line, which the C JSON encoder handles; indented
-    output would fall back to the much slower pure-Python encoder.
+    output would fall back to the much slower pure-Python encoder.  The line
+    is written SAVE_FLOATS floats at a time, the bytes of dump_json_line of
+    the whole {"format", "meta", "tensors"} object, so no tensor's float
+    list or text exists whole.
     """
-    obj = {
-        "format": TENSOR_FORMAT,
-        "meta": meta or {},
-        "tensors": {
-            name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
-            for name, arr in tensors.items()
-        },
-    }
+    head = dump_json_line({"format": TENSOR_FORMAT, "meta": meta or {}})
     with atomic_write(path) as fh:
-        fh.write(dump_json_line(obj) + "\n")
+        fh.write(head[:-1] + ',"tensors":{')
+        for i, (name, arr) in enumerate(tensors.items()):
+            shape = dump_json_line(list(arr.shape))
+            fh.write(f'{"," if i else ""}{dump_json_line(name)}:{{"shape":{shape},"data":[')
+            flat = arr.ravel()
+            for j in range(0, flat.size, SAVE_FLOATS):
+                floats = dump_json_line(flat[j:j + SAVE_FLOATS].tolist())[1:-1]
+                fh.write(("," if j else "") + floats)
+            fh.write("]}")
+        fh.write("}}\n")
+
+
+def _tensor(spec: dict) -> np.ndarray:
+    return np.asarray(spec["data"], dtype=np.float64).reshape(spec["shape"])
+
+
+def _tensor_hook(obj: dict):
+    """json object_hook: a {"shape", "data"} object becomes its array as soon
+    as the parser completes it, so one tensor's float list exists at a time.
+    An object that does not convert stays as it is, for load_tensors to name."""
+    if obj.keys() == {"shape", "data"}:
+        try:
+            return _tensor(obj)
+        except (TypeError, ValueError):
+            pass
+    return obj
 
 
 def load_tensors(path):
-    """Returns (tensors, meta).  Refuses files with an unknown format header."""
-    obj = read_json_file(path)
+    """Returns (tensors, meta).  Refuses files with an unknown format header.
+
+    Each tensor is parsed into its array as the parser reaches it, so the
+    float lists of the whole file never exist at once.
+    """
+    obj = read_json_file(path, object_hook=_tensor_hook)
     if obj.get("format") != TENSOR_FORMAT:
         raise DataError(f"{path}: unknown checkpoint format {obj.get('format')!r}")
     specs, meta = obj.get("tensors"), obj.get("meta", {})
@@ -381,7 +441,7 @@ def load_tensors(path):
     tensors = {}
     for name, spec in specs.items():
         try:
-            tensors[name] = np.asarray(spec["data"], dtype=np.float64).reshape(spec["shape"])
+            tensors[name] = spec if isinstance(spec, np.ndarray) else _tensor(spec)
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}: tensor {name!r} needs a 'shape' and matching 'data' "
                             f"({exc})") from None

@@ -4,6 +4,7 @@ import hashlib
 import math
 import multiprocessing
 import os
+import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 from unifilter import classifier
 from unifilter.classifier import (
+    AssembledSequence,
     ModelConfig,
     QualityModel,
     TrainConfig,
@@ -271,6 +273,30 @@ def test_train_returns_best_validation_epoch():
     acc, _ = __import__("unifilter.classifier", fromlist=["validation_accuracy"]
                         ).validation_accuracy(model, val_s)
     assert acc == best
+
+
+def test_a_forward_only_pass_keeps_no_activations():
+    """Traced allocation of one forward_score without a cache, at the default
+    model sizes: it grows with one attention tile and the (n, 4d) MLP
+    buffers, linear in n.  Keeping every tile for a backward would peak at
+    about 92 MB at 2,048 positions and grow with n^2."""
+    cfg = ModelConfig()
+    params = init_params(cfg, 5, child_rng(0, "init"))
+    rng = child_rng(0, "positions")
+    peak_mb = {}
+    for n in (2048, 4096):
+        asm = AssembledSequence(emb=rng.normal(size=(n, cfg.d)), text_positions=[],
+                                text_ids=[], image_blocks=[])
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            forward_score(asm, cfg, params, keep_cache=False)
+            peak_mb[n] = (tracemalloc.get_traced_memory()[1] - base) / 2**20
+        finally:
+            tracemalloc.stop()
+    assert peak_mb[2048] < 24
+    assert peak_mb[4096] <= 2.2 * peak_mb[2048]
 
 
 def test_checkpoint_roundtrip_preserves_scores(tmp_path):

@@ -317,12 +317,16 @@ def test_json_file_errors_name_the_path(tmp_path, text, problem):
     (["eval", "--checkpoint", "{deep}", "--val", "{train}"], 3),
     (["pack", "--in", "{train}", "--vocab", "{deep}"], 3),
     (["pack", "--in", "{train}", "--vocab", "{array}"], 3),
+    (["gen", "--levels-count", "0"], 3),
+    (["dfn-filter", "--in", "{train}", "--threshold", "nan"], 3),
+    (["stats", "--in", "{train}", "--out", "{missing}"], 3),
 ], ids=["gen-seed-negative", "gen-val-fraction-2", "gen-val-fraction-negative",
         "gen-levels-count-negative", "cluster-per-cluster-negative", "cluster-per-cluster-0",
         "pack-t-0", "stats-image-token-equiv-negative", "bench-sizes-0",
         "cluster-on-scores", "stats-on-scores", "pack-on-scores",
         "score-checkpoint-truncated", "pack-vocab-truncated", "score-checkpoint-deep",
-        "eval-checkpoint-deep", "pack-vocab-deep", "pack-vocab-array"])
+        "eval-checkpoint-deep", "pack-vocab-deep", "pack-vocab-array", "gen-levels-count-0",
+        "dfn-filter-threshold-nan", "out-in-missing-directory"])
 def test_out_of_range_inputs_exit_cleanly_without_output(tmp_path, capsys, small_data,
                                                          argv, code):
     vocab = tmp_path / "vocab.json"
@@ -338,20 +342,28 @@ def test_out_of_range_inputs_exit_cleanly_without_output(tmp_path, capsys, small
     array = tmp_path / "array.json"
     array.write_text("[1]", encoding="utf-8")
     out = tmp_path / "out"
+    missing = tmp_path / "missing" / "s.json"
     argv = [arg.format(train=small_data / "train.jsonl", vocab=vocab, ckpt=ckpt, scores=scores,
-                       truncated=truncated, deep=deep, array=array)
+                       truncated=truncated, deep=deep, array=array, missing=missing)
             for arg in argv]
+    if "--out" not in argv:
+        argv += ["--out", str(out)]
     capsys.readouterr()
     try:
-        rc = main([*argv, "--out", str(out)])
+        rc = main(argv)
     except SystemExit as exc:  # argparse usage errors
         rc = exc.code
     err = capsys.readouterr().err
     assert rc == code
     assert "Traceback" not in err
     assert not list(tmp_path.glob("out*"))  # no primary output, no manifest
+    assert not missing.parent.exists()
     if code == 3:
-        assert json.loads(err)["error"] == "data"
+        obj = json.loads(err)
+        assert obj["error"] == "data"
+        assert ".tmp" not in obj["message"]     # a path the user gave, never a temporary
+        if str(missing) in argv:
+            assert str(missing) in obj["message"]
 
 
 @pytest.mark.parametrize("subcommand, breaks, problem", [
@@ -659,6 +671,77 @@ def test_score_rejects_from_both_processes_match_one_process(tmp_path, capfd):
     assert "exceed max_seq_len" in rejects[0]["error"] and "smaller than" in rejects[1]["error"]
     assert len(outputs[0][0].decode().splitlines()) == 8
     assert "Traceback" not in capfd.readouterr().err
+
+
+def _score_bytes(tmp_path, name, *flags):
+    out = tmp_path / f"{name}.jsonl"
+    assert main(["score", "--checkpoint", str(tmp_path / "model.json"),
+                 "--in", str(tmp_path / "corpus.jsonl"), "--out", str(out), *flags]) == 0
+    return out.read_bytes(), (tmp_path / f"{name}.rejects.jsonl").read_bytes()
+
+
+def test_score_bytes_do_not_depend_on_the_chunk_size(tmp_path, capfd, monkeypatch):
+    """With --batch-size 1 a chunk is CHUNK_BATCHES records.  Chunks of 1 and
+    2 batches, on one process and two, write the default run's bytes.  The
+    default run's first chunk puts a reject in each process's group, and a
+    later chunk holds one more."""
+    from unifilter import filtering
+
+    save_model(tmp_path / "model.json", _tiny_model())    # max_seq_len 96, t = 4
+    rng = child_rng(0, "cli-chunks")
+
+    def image(side=16):
+        return ImagePayload(pixels=rng.uniform(size=(1, side, side)))
+
+    records = [CaptionSample(id=f"c{i}", image=image(), text="the fox runs") for i in range(17)]
+    for slot, rid in ((1, "long0"), (6, "small0"), (18, "long1")):
+        if rid.startswith("long"):      # 7 x 16 image tokens exceed max_seq_len 96
+            items = [DocItem(kind="image", image=image()) for _ in range(7)]
+            items.append(DocItem(kind="text", text="fox"))
+            records.insert(slot, InterleavedDoc(id=rid, items=items))
+        else:                           # a 2 x 2 patch grid cannot pool to 4 x 4
+            records.insert(slot, CaptionSample(id=rid, image=image(side=8), text="fox"))
+    first = records[:filtering.CHUNK_BATCHES]
+    assert "long1" in [r.id for r in records[len(first):]]
+    groups = balanced_groups([_cost(r, ModelConfig()) for r in first], TASK_GROUPS)
+    assert [sorted(first[i].id for i in group if first[i].id[0] != "c") for group in groups] \
+        in ([["long0"], ["small0"]], [["small0"], ["long0"]])
+    write_records(tmp_path / "corpus.jsonl", records)
+
+    capfd.readouterr()
+    default = _score_bytes(tmp_path, "default", "--batch-size", "1", "--workers", "1")
+    rejects = [json.loads(line)["id"] for line in default[1].decode().splitlines()]
+    assert rejects == ["long0", "small0", "long1"]
+    assert len(default[0].decode().splitlines()) == 17
+    assert _score_bytes(tmp_path, "two", "--batch-size", "1", "--workers", "2") == default
+    for chunk in (1, 2):
+        monkeypatch.setattr(filtering, "CHUNK_BATCHES", chunk)
+        for workers in ("1", "2"):
+            assert _score_bytes(tmp_path, f"chunk{chunk}-{workers}", "--batch-size", "1",
+                                "--workers", workers) == default, (chunk, workers)
+    assert "Traceback" not in capfd.readouterr().err
+
+
+def test_a_duplicate_id_in_a_later_chunk_exits_3_without_scores(tmp_path, capfd):
+    from unifilter import filtering
+
+    save_model(tmp_path / "model.json", _tiny_model())
+    rng = child_rng(0, "cli-late-duplicate")
+    records = [CaptionSample(id=f"c{i}", image=ImagePayload(pixels=rng.uniform(size=(1, 16, 16))),
+                             text="the fox runs") for i in range(filtering.CHUNK_BATCHES + 2)]
+    records.append(records[3])      # arrives in the second chunk of --batch-size 1
+    write_records(tmp_path / "corpus.jsonl", records)
+    capfd.readouterr()
+    rc = main(["score", "--checkpoint", str(tmp_path / "model.json"),
+               "--in", str(tmp_path / "corpus.jsonl"), "--out", str(tmp_path / "scores.jsonl"),
+               "--batch-size", "1", "--workers", "2"])
+    err = capfd.readouterr().err
+    assert rc == 3
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    obj = json.loads(err)
+    assert obj["error"] == "data" and obj["message"] == "duplicate record id 'c3'"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "model.json"]
+    assert multiprocessing.active_children() == []
 
 
 def test_blas_thread_policy_in_a_fresh_interpreter(tmp_path):

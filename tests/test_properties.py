@@ -2,7 +2,9 @@
 
 A JSONL round trip is byte-stable, and a score reads the record's content
 alone: ids repeat across splits, so a record under another id, or a copy
-read back from disk, must score bitwise equal to the original.
+read back from disk, must score bitwise equal to the original.  A
+forward-only pass, which keeps no activations, scores bitwise equal to the
+pass that keeps them for training.
 """
 
 import dataclasses
@@ -14,7 +16,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from unifilter.classifier import ModelConfig, QualityModel, init_params
+from unifilter.classifier import ModelConfig, QualityModel, assemble, forward_score, init_params
 from unifilter.common import child_rng
 from unifilter.encoder import EncoderConfig
 from unifilter.packing import build_vocab
@@ -81,3 +83,13 @@ def test_a_record_read_back_under_another_id_scores_bitwise_equal(record, other_
     original = _bits(MODEL.score_record(record))
     assert _bits(MODEL.score_record(renamed)) == original
     assert _bits(MODEL.score_record(back)) == original
+
+
+@SETTINGS
+@given(records)
+def test_a_forward_without_cache_scores_bitwise_equal_to_one_with_it(record):
+    asm = assemble(record, CFG, VOCAB, MODEL.params)
+    plain, none = forward_score(asm, CFG, MODEL.params, keep_cache=False)
+    kept, cache = forward_score(asm, CFG, MODEL.params, keep_cache=True)
+    assert none is None and cache is not None
+    assert _bits(plain) == _bits(kept)
