@@ -65,7 +65,8 @@ class ModelConfig:
 
 @dataclass
 class TrainConfig:
-    """Every other optimizer constant is an nn.AdamConfig default."""
+    """warmup_frac is the nn.AdamConfig default; Adam's betas, eps and
+    weight decay are nn module constants."""
     epochs: int = 10
     batch_size: int = 16
     peak_lr: float = 3e-5
@@ -137,8 +138,6 @@ def assemble(record, cfg: ModelConfig, vocab: Vocab, params: Params) -> Assemble
     from the right, document-wide, until the sequence fits max_seq_len.
     """
     record = as_document(record)
-    if record.modality == "caption" and not record.text.strip():
-        raise DataError(f"caption {record.id!r} has empty text")
     items = record.items
     t2 = cfg.encoder.tokens_per_image()
     n_images = sum(1 for item in items if item.kind == "image")
@@ -300,8 +299,8 @@ def load_model(path) -> QualityModel:
 
 # --- training ----------------------------------------------------------------------
 
-# Processes of _task_runner, this one and one forked worker: train splits each
-# batch, and filtering.score_corpus its batches, into this many groups.
+# Processes of _task_runner, this one and one forked worker: train and
+# filtering.score_corpus split each batch into this many groups.
 TASK_GROUPS = 2
 # A batch loss over this many times the first batch's is divergence.  The first
 # loss counts as at least 1, so a near-perfect first batch (one label-0 sample,
@@ -324,8 +323,7 @@ def _cost(sample, cfg: ModelConfig) -> int:
     assemble gives the sample: its words plus t*t per image, capped at
     max_seq_len.  The 4d^2 term stands for the fixed per-sample cost, which
     dominates short samples: on perfbench's train data the time per sample
-    fit 1.9 + 0.044 n + 0.00015 n^2 ms at d = 64.  It reads cfg's sizes
-    only, so a default ModelConfig() stands in for a scorer without one.
+    fit 1.9 + 0.044 n + 0.00015 n^2 ms at d = 64.
     """
     t2 = cfg.encoder.tokens_per_image()
     n = min(cfg.max_seq_len, sum(t2 if item.kind == "image" else len(tokenize_words(item.text))
@@ -435,11 +433,12 @@ def train(train_samples: list[LabeledSample], val_samples: list[LabeledSample],
 
     Each batch splits into TASK_GROUPS groups of balanced cost; each group
     adds its samples' gradients, in batch order, into its own slot, and the
-    slots are summed in group order before the Adam step.  Parameters, slots
-    and validation scores live in one shared mapping, so with two usable
-    CPUs a forked worker runs the second group, and the bytes do not depend
-    on the process count.  A batch loss over DIVERGED_LOSS_FACTOR times the
-    first batch's (or 1, if more) raises NumericError.
+    second slot is added into the first, which the Adam step reads.
+    Parameters, slots and validation scores live in one shared mapping, so
+    with two usable CPUs a forked worker runs the second group, and the
+    bytes do not depend on the process count.  A batch loss over
+    DIVERGED_LOSS_FACTOR times the first batch's (or 1, if more) raises
+    NumericError.
     """
     if not train_samples or not val_samples:
         raise DataError("need non-empty train and validation splits")
@@ -462,8 +461,6 @@ def train(train_samples: list[LabeledSample], val_samples: list[LabeledSample],
     steps_per_epoch = math.ceil(n / tcfg.batch_size)
     acfg = AdamConfig(peak_lr=tcfg.peak_lr, total_steps=tcfg.epochs * steps_per_epoch)
     state = adam_init(params, acfg)
-    grad_sum = np.empty(size)
-    grads = _views(grad_sum, init)
 
     model = QualityModel(config=cfg, vocab=vocab, params=params)
     costs = [_cost(s, cfg) for s in train_samples]
@@ -504,7 +501,7 @@ def train(train_samples: list[LabeledSample], val_samples: list[LabeledSample],
                 groups = balanced_groups([costs[i] for i in batch], TASK_GROUPS)
                 losses = run_pair([("grad", g, [batch[p] for p in group], len(batch))
                                    for g, group in enumerate(groups)])
-                np.add(slots[0], slots[1], out=grad_sum)
+                slots[0] += slots[1]
                 batch_loss = sum(losses) / len(batch)
                 step = f"epoch {epoch} step {b0 // tcfg.batch_size}"
                 if not np.isfinite(batch_loss):
@@ -515,7 +512,7 @@ def train(train_samples: list[LabeledSample], val_samples: list[LabeledSample],
                 if batch_loss > limit:
                     raise NumericError(f"training diverged at {step}: batch loss "
                                        f"{batch_loss:.3g} exceeds {limit:.3g}")
-                lr = adam_step(params, grads, state)
+                lr = adam_step(params, slot_grads[0], state)
                 epoch_loss += batch_loss
             run_pair(val_tasks)
             val_acc, val_f1 = _accuracy(val_samples, val_scores)

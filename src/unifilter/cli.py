@@ -102,6 +102,9 @@ def cmd_gen(args):
     train_s, val_s, report = synthgen.build_dataset(
         images, docs, counts, nonsyn_positives=nonsyn,
         val_fraction=args.val_fraction, seed=args.seed)
+    if not train_s or not val_s:
+        raise DataError(f"the split leaves {len(train_s)} train and {len(val_s)} validation "
+                        f"samples; train needs both")
 
     out_dir.mkdir(parents=True, exist_ok=True)
     write_records(out_dir / "train.jsonl", train_s)
@@ -193,7 +196,7 @@ def cmd_eval(args):
 def cmd_score(args):
     model = load_model(args.checkpoint)
     fcfg = FilterConfig(batch_size=args.batch_size, workers=args.workers)
-    # streamed: score_corpus holds one chunk of the corpus at a time
+    # streamed: score_corpus holds one batch of the corpus at a time
     scored, rejects = filtering.score_corpus(_stream(getattr(args, "in"), "auto"), model, fcfg)
     write_records(args.out, scored)
     rejects_path = _sidecar_rejects(args.out)
@@ -326,7 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--in", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--batch-size", type=int, default=16)
+    p.add_argument("--batch-size", type=int, default=256,
+                   help="records read, and split between the score processes, at a time")
     p.add_argument("--workers", type=int, default=len(os.sched_getaffinity(0)),
                    help="score processes: 1 scores in this process, 2 or more "
                         "in this one and one forked worker; default the usable CPU count")

@@ -14,11 +14,11 @@ import math
 import time
 from dataclasses import asdict, dataclass
 from functools import cache
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
-from .classifier import TASK_GROUPS, ModelConfig, _cost, _task_runner, balanced_groups
+from .classifier import TASK_GROUPS, _cost, _task_runner, balanced_groups
 from .common import DataError, check_counts, child_rng
 from .encoder import EncoderConfig, patchify_embed
 from .packing import tokenize_words
@@ -27,34 +27,29 @@ from .records import CaptionSample, ImagePayload, InterleavedDoc, ScoredRecord, 
 
 @dataclass
 class FilterConfig:
-    batch_size: int = 16
+    batch_size: int = 256
     workers: int = 1
 
     def __post_init__(self):
         check_counts(self, "batch_size", "workers")
 
 
-# Batches score_corpus reads and scores at a time: the most records it holds
-# is this many times the batch size.
-CHUNK_BATCHES = 16
-
-
 def score_corpus(records, model, cfg: FilterConfig | None = None,
                  ) -> tuple[list[ScoredRecord], list[dict]]:
-    """Score records in corpus order with anything that has score_record.
+    """Score records in corpus order with a model's score_record.
 
     records is any iterable, a reader's generator among them: it is read
-    CHUNK_BATCHES batches at a time, so only one chunk of records is held.
+    cfg.batch_size records at a time, so only one batch of records is held.
     Returns (scored, rejects).  Records the model cannot assemble (over
-    length, empty text) or whose score is not finite become reject entries
-    instead of aborting the run.  A duplicate record id is a DataError,
-    raised before the chunk it arrives in is scored.  With cfg.workers > 1
-    one worker is forked before the first chunk (train's task runner); each
-    chunk's batches split into TASK_GROUPS groups of balanced cost,
-    estimated from the records alone, and the worker scores the second
-    group, which it receives and returns over the runner's pipe.  Each
-    sample is forwarded on its own, so scores are bitwise independent of
-    chunk size, batch size and worker count.
+    length, say) or whose score is not finite become reject entries instead
+    of aborting the run.  A duplicate record id is a DataError, raised
+    before the batch it arrives in is scored.  With cfg.workers > 1 one
+    worker is forked before the first batch (train's task runner), and each
+    batch splits record by record into TASK_GROUPS groups of balanced
+    _cost(doc, model.config), as train splits a batch of samples; the
+    worker scores the second group, which it receives and returns over the
+    runner's pipe.  Each record is forwarded on its own, so scores are
+    bitwise independent of batch size and worker count.
     """
     cfg = cfg or FilterConfig()
 
@@ -68,32 +63,24 @@ def score_corpus(records, model, cfg: FilterConfig | None = None,
         return ScoredRecord(id=doc.id, score=score, modality=doc.modality), None
 
     fork = cfg.workers > 1      # one process scores every batch in order, unsplit
-    cost_cfg = ModelConfig()    # default sizes: a scorer need not have a config
     seen: set[str] = set()
     scored, rejects = [], []
     records = iter(records)
-    with _task_runner(lambda batches: [[score_one(doc) for doc in batch] for batch in batches],
-                      fork=fork) as run_pair:
-        while docs := [as_document(rec)
-                       for rec in islice(records, CHUNK_BATCHES * cfg.batch_size)]:
-            for doc in docs:
+    with _task_runner(lambda docs: [score_one(doc) for doc in docs], fork=fork) as run_pair:
+        while batch := [as_document(rec) for rec in islice(records, cfg.batch_size)]:
+            for doc in batch:
                 if doc.id in seen:
                     raise DataError(f"duplicate record id {doc.id!r}")
                 seen.add(doc.id)
-            batches = [docs[i:i + cfg.batch_size] for i in range(0, len(docs), cfg.batch_size)]
-            groups = (balanced_groups([sum(_cost(doc, cost_cfg) for doc in batch)
-                                       for batch in batches], TASK_GROUPS)
-                      if fork else [range(len(batches))])
-            by_batch: dict = {}
-            for group, results in zip(groups, run_pair([[batches[b] for b in group]
-                                                        for group in groups])):
-                by_batch.update(zip(group, results))
-            for b in range(len(batches)):
-                for rec, rej in by_batch[b]:
-                    if rej is None:
-                        scored.append(rec)
-                    else:
-                        rejects.append(rej)
+            groups = (balanced_groups([_cost(doc, model.config) for doc in batch], TASK_GROUPS)
+                      if fork else [range(len(batch))])
+            results = run_pair([[batch[i] for i in group] for group in groups])
+            # back in record order; the indices differ, so no two results are compared
+            for _, (rec, rej) in sorted(zip(chain(*groups), chain(*results))):
+                if rej is None:
+                    scored.append(rec)
+                else:
+                    rejects.append(rej)
     return scored, rejects
 
 

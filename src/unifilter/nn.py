@@ -214,21 +214,21 @@ def causal_self_attention_backward(dy, cache):
 
 def _mlp_sublayer(x1: np.ndarray, p: Params, keep_cache: bool = True):
     """x1 + MLP(LN2(x1)) with GELU, the second half of a block.  Returns
-    (out, cache), the cache None without keep_cache, when each intermediate
-    is dropped once the next op has read it."""
+    (out, cache).  keep_cache only chooses what the cache holds: without
+    it the cache is None, and each intermediate is dropped once the next
+    op has read it."""
     h2, ln2_cache = layer_norm(x1, p["ln2_g"], p["ln2_b"])
     m1 = linear(h2, p["w1"], p["b1"])
-    if not keep_cache:
-        del h2, ln2_cache
-        g, _ = gelu(m1, keep_cdf=False)
-        del m1
-        m2 = linear(g, p["w2"], p["b2"])
-        del g
-        m2 += x1    # x1 + m2: addition commutes bitwise
-        return m2, None
-    g, cdf = gelu(m1)
-    m2 = linear(g, p["w2"], p["b2"])
-    return x1 + m2, (ln2_cache, h2, m1, g, cdf, p)
+    cache = (ln2_cache, h2, m1) if keep_cache else None
+    del h2, ln2_cache
+    g, cdf = gelu(m1, keep_cdf=keep_cache)
+    del m1
+    out = linear(g, p["w2"], p["b2"])
+    if keep_cache:
+        cache += (g, cdf, p)
+    del g
+    out += x1    # x1 + out: addition commutes bitwise
+    return out, cache
 
 
 def _mlp_sublayer_backward(dy, cache):
@@ -281,15 +281,17 @@ def transformer_block_backward(dy, cache):
 # --- optimizer --------------------------------------------------------------------
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.98
+ADAM_EPS = 1e-8
+WEIGHT_DECAY = 0.01
+
+
 @dataclass
 class AdamConfig:
     peak_lr: float = 3e-5
     warmup_frac: float = 0.03
-    beta1: float = 0.9
-    beta2: float = 0.98
-    weight_decay: float = 0.01
     total_steps: int = 1
-    eps: float = 1e-8
 
 
 @dataclass
@@ -326,21 +328,20 @@ def adam_step(params: Params, grads: Params, state: AdamState) -> float:
     lr = lr_at(state.step, cfg)
     state.step += 1
     t = state.step
-    bc1 = 1.0 - cfg.beta1 ** t
-    bc2 = 1.0 - cfg.beta2 ** t
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
     for name, p in params.items():
         g = grads[name]
         if not np.isfinite(g).all():
             raise NumericError(f"non-finite gradient for parameter {name!r} at step {t}")
         m = state.m[name]
         v = state.v[name]
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * (g * g)
-        update = (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
-        if cfg.weight_decay:
-            update = update + cfg.weight_decay * p
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        update += WEIGHT_DECAY * p
         p -= lr * update
     return lr
 

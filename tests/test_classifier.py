@@ -133,13 +133,6 @@ def test_too_many_image_tokens_is_an_error():
         assemble(InterleavedDoc(id="d", items=items), TINY, model.vocab, model.params)
 
 
-def test_empty_caption_text_is_an_error():
-    model = _model()
-    with pytest.raises(DataError, match="empty text"):
-        assemble(CaptionSample(id="c", image=_pixels(0), text="   "),
-                 TINY, model.vocab, model.params)
-
-
 def test_forward_matches_straight_line_recompute():
     """Independent reassembly of the caption path from the primitives."""
     model = _model()

@@ -320,13 +320,14 @@ def test_json_file_errors_name_the_path(tmp_path, text, problem):
     (["gen", "--levels-count", "0"], 3),
     (["dfn-filter", "--in", "{train}", "--threshold", "nan"], 3),
     (["stats", "--in", "{train}", "--out", "{missing}"], 3),
+    (["gen", "--levels-count", "2"], 3),
 ], ids=["gen-seed-negative", "gen-val-fraction-2", "gen-val-fraction-negative",
         "gen-levels-count-negative", "cluster-per-cluster-negative", "cluster-per-cluster-0",
         "pack-t-0", "stats-image-token-equiv-negative", "bench-sizes-0",
         "cluster-on-scores", "stats-on-scores", "pack-on-scores",
         "score-checkpoint-truncated", "pack-vocab-truncated", "score-checkpoint-deep",
         "eval-checkpoint-deep", "pack-vocab-deep", "pack-vocab-array", "gen-levels-count-0",
-        "dfn-filter-threshold-nan", "out-in-missing-directory"])
+        "dfn-filter-threshold-nan", "out-in-missing-directory", "gen-empty-val"])
 def test_out_of_range_inputs_exit_cleanly_without_output(tmp_path, capsys, small_data,
                                                          argv, code):
     vocab = tmp_path / "vocab.json"
@@ -523,7 +524,7 @@ def test_score_worker_death_exits_3_with_one_json_error(tmp_path, capfd, small_d
     capfd.readouterr()
     rc = main(["score", "--checkpoint", str(tmp_path / "model.json"),
                "--in", str(small_data / "train.jsonl"), "--out", str(tmp_path / "scores.jsonl"),
-               "--batch-size", "1", "--workers", "2"])
+               "--batch-size", "2", "--workers", "2"])    # at 1 the worker gets no record
     assert rc == 3
     _assert_one_dead_worker_error(capfd)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
@@ -634,9 +635,11 @@ def test_workers_flag_sets_score_workers(tmp_path):
 
 
 def test_score_rejects_from_both_processes_match_one_process(tmp_path, capfd):
-    """Each score process's group holds an over-length record and an image
-    too small to pool; --workers 2 writes --workers 1's bytes."""
-    save_model(tmp_path / "model.json", _tiny_model())    # max_seq_len 96, t = 4
+    """Each score process's group of the one batch holds an over-length
+    record and an image too small to pool; --workers 2 writes --workers 1's
+    bytes."""
+    model = _tiny_model()       # max_seq_len 96, t = 4
+    save_model(tmp_path / "model.json", model)
     rng = child_rng(0, "cli-both-processes")
 
     def image(side=16):
@@ -650,7 +653,7 @@ def test_score_rejects_from_both_processes_match_one_process(tmp_path, capfd):
             records.insert(slot, InterleavedDoc(id=rid, items=items))
         else:                           # a 2 x 2 patch grid cannot pool to 4 x 4
             records.insert(slot, CaptionSample(id=rid, image=image(side=8), text="fox"))
-    groups = balanced_groups([_cost(r, ModelConfig()) for r in records], TASK_GROUPS)
+    groups = balanced_groups([_cost(r, model.config) for r in records], TASK_GROUPS)
     for group in groups:        # one of each kind in each process's group
         assert sorted(records[i].id[:-1] for i in group if records[i].id[0] != "c") \
             == ["long", "small"]
@@ -662,7 +665,7 @@ def test_score_rejects_from_both_processes_match_one_process(tmp_path, capfd):
         out = tmp_path / f"scores{workers}.jsonl"
         assert main(["score", "--checkpoint", str(tmp_path / "model.json"),
                      "--in", str(tmp_path / "corpus.jsonl"), "--out", str(out),
-                     "--batch-size", "1", "--workers", workers]) == 0
+                     "--workers", workers]) == 0
         rejects_path = tmp_path / f"scores{workers}.rejects.jsonl"
         outputs.append((out.read_bytes(), rejects_path.read_bytes()))
     assert outputs[0] == outputs[1]
@@ -680,61 +683,55 @@ def _score_bytes(tmp_path, name, *flags):
     return out.read_bytes(), (tmp_path / f"{name}.rejects.jsonl").read_bytes()
 
 
-def test_score_bytes_do_not_depend_on_the_chunk_size(tmp_path, capfd, monkeypatch):
-    """With --batch-size 1 a chunk is CHUNK_BATCHES records.  Chunks of 1 and
-    2 batches, on one process and two, write the default run's bytes.  The
-    default run's first chunk puts a reject in each process's group, and a
-    later chunk holds one more."""
-    from unifilter import filtering
-
-    save_model(tmp_path / "model.json", _tiny_model())    # max_seq_len 96, t = 4
-    rng = child_rng(0, "cli-chunks")
+def test_score_bytes_do_not_depend_on_the_batch_size(tmp_path, capfd):
+    """Batches of 1, 2 and 5 records, on one process and two, write the
+    default run's bytes.  The first batch of 5 puts a reject in each
+    process's group, and a later batch holds one more."""
+    model = _tiny_model()       # max_seq_len 96, t = 4
+    save_model(tmp_path / "model.json", model)
+    rng = child_rng(0, "cli-batches")
 
     def image(side=16):
         return ImagePayload(pixels=rng.uniform(size=(1, side, side)))
 
-    records = [CaptionSample(id=f"c{i}", image=image(), text="the fox runs") for i in range(17)]
-    for slot, rid in ((1, "long0"), (6, "small0"), (18, "long1")):
+    records = [CaptionSample(id=f"c{i}", image=image(), text="the fox runs") for i in range(18)]
+    for slot, rid in ((1, "long0"), (4, "small0"), (13, "long1")):
         if rid.startswith("long"):      # 7 x 16 image tokens exceed max_seq_len 96
             items = [DocItem(kind="image", image=image()) for _ in range(7)]
             items.append(DocItem(kind="text", text="fox"))
             records.insert(slot, InterleavedDoc(id=rid, items=items))
         else:                           # a 2 x 2 patch grid cannot pool to 4 x 4
             records.insert(slot, CaptionSample(id=rid, image=image(side=8), text="fox"))
-    first = records[:filtering.CHUNK_BATCHES]
+    first = records[:5]
     assert "long1" in [r.id for r in records[len(first):]]
-    groups = balanced_groups([_cost(r, ModelConfig()) for r in first], TASK_GROUPS)
+    groups = balanced_groups([_cost(r, model.config) for r in first], TASK_GROUPS)
     assert [sorted(first[i].id for i in group if first[i].id[0] != "c") for group in groups] \
         in ([["long0"], ["small0"]], [["small0"], ["long0"]])
     write_records(tmp_path / "corpus.jsonl", records)
 
     capfd.readouterr()
-    default = _score_bytes(tmp_path, "default", "--batch-size", "1", "--workers", "1")
+    default = _score_bytes(tmp_path, "default")
     rejects = [json.loads(line)["id"] for line in default[1].decode().splitlines()]
     assert rejects == ["long0", "small0", "long1"]
-    assert len(default[0].decode().splitlines()) == 17
-    assert _score_bytes(tmp_path, "two", "--batch-size", "1", "--workers", "2") == default
-    for chunk in (1, 2):
-        monkeypatch.setattr(filtering, "CHUNK_BATCHES", chunk)
+    assert len(default[0].decode().splitlines()) == 18
+    for batch_size in ("1", "2", "5"):
         for workers in ("1", "2"):
-            assert _score_bytes(tmp_path, f"chunk{chunk}-{workers}", "--batch-size", "1",
-                                "--workers", workers) == default, (chunk, workers)
+            assert _score_bytes(tmp_path, f"b{batch_size}-{workers}", "--batch-size", batch_size,
+                                "--workers", workers) == default, (batch_size, workers)
     assert "Traceback" not in capfd.readouterr().err
 
 
-def test_a_duplicate_id_in_a_later_chunk_exits_3_without_scores(tmp_path, capfd):
-    from unifilter import filtering
-
+def test_a_duplicate_id_in_a_later_batch_exits_3_without_scores(tmp_path, capfd):
     save_model(tmp_path / "model.json", _tiny_model())
     rng = child_rng(0, "cli-late-duplicate")
     records = [CaptionSample(id=f"c{i}", image=ImagePayload(pixels=rng.uniform(size=(1, 16, 16))),
-                             text="the fox runs") for i in range(filtering.CHUNK_BATCHES + 2)]
-    records.append(records[3])      # arrives in the second chunk of --batch-size 1
+                             text="the fox runs") for i in range(12)]
+    records.append(records[3])      # arrives in the third batch of --batch-size 5
     write_records(tmp_path / "corpus.jsonl", records)
     capfd.readouterr()
     rc = main(["score", "--checkpoint", str(tmp_path / "model.json"),
                "--in", str(tmp_path / "corpus.jsonl"), "--out", str(tmp_path / "scores.jsonl"),
-               "--batch-size", "1", "--workers", "2"])
+               "--batch-size", "5", "--workers", "2"])
     err = capfd.readouterr().err
     assert rc == 3
     assert "Traceback" not in err and len(err.splitlines()) == 1

@@ -353,7 +353,10 @@ def test_corpus_stats_rejects_empty_and_bad_fraction():
 
 
 class _StubModel:
-    """Scores by id digits; over-length ids raise like the real model."""
+    """Scores by id digits; over-length ids raise like the real model.  Its
+    config sizes score_corpus's cost estimate."""
+
+    config = ModelConfig()
 
     def __init__(self):
         self.calls = 0
@@ -426,35 +429,35 @@ def test_score_corpus_estimates_costs_only_when_it_forks(monkeypatch):
 
 
 def test_score_corpus_rejects_from_both_processes():
-    """Each process's group holds an over-length record and an empty-text
-    caption; two processes give one process's scores and rejects."""
+    """Each process's group holds an over-length record and an image too
+    small to pool; two processes give one process's scores and rejects."""
     cfg = ModelConfig(d=16, n_layers=1, n_heads=2, max_seq_len=96, encoder=EncoderConfig(d=16))
     model = QualityModel(cfg, Vocab(words=["fox"]), init_params(cfg, 5, child_rng(0)))
     rng = child_rng(0, "both-processes")
 
-    def image():
-        return ImagePayload(pixels=rng.uniform(size=(1, 16, 16)))
+    def image(side=16):
+        return ImagePayload(pixels=rng.uniform(size=(1, side, side)))
 
     records = [CaptionSample(id=f"c{i}", image=image(), text="the fox runs") for i in range(8)]
-    for slot, rid in ((1, "long0"), (4, "empty0"), (6, "long1"), (9, "empty1")):
+    for slot, rid in ((1, "long0"), (4, "small0"), (6, "long1"), (9, "small1")):
         if rid.startswith("long"):      # 7 x 16 image tokens exceed max_seq_len 96
             items = [DocItem(kind="image", image=image()) for _ in range(7)]
             items.append(DocItem(kind="text", text="fox"))
             records.insert(slot, InterleavedDoc(id=rid, items=items))
-        else:                           # the reader refuses these; score_corpus rejects them
-            records.insert(slot, CaptionSample(id=rid, image=image(), text=" "))
-    groups = balanced_groups([_cost(r, ModelConfig()) for r in records], TASK_GROUPS)
+        else:                           # a 2 x 2 patch grid cannot pool to 4 x 4
+            records.insert(slot, CaptionSample(id=rid, image=image(side=8), text="fox"))
+    groups = balanced_groups([_cost(r, model.config) for r in records], TASK_GROUPS)
     for group in groups:        # one of each kind in each process's group
         assert sorted(records[i].id[:-1] for i in group if records[i].id[0] != "c") \
-            == ["empty", "long"]
+            == ["long", "small"]
 
-    one = score_corpus(records, model, FilterConfig(batch_size=1, workers=1))
-    two = score_corpus(records, model, FilterConfig(batch_size=1, workers=2))
+    one = score_corpus(records, model, FilterConfig(batch_size=len(records), workers=1))
+    two = score_corpus(records, model, FilterConfig(batch_size=len(records), workers=2))
     assert two == one
     scored, rejects = one
     assert [s.id for s in scored] == [f"c{i}" for i in range(8)]
-    assert [r["id"] for r in rejects] == ["long0", "empty0", "long1", "empty1"]
-    assert "exceed max_seq_len" in rejects[0]["error"] and "empty text" in rejects[1]["error"]
+    assert [r["id"] for r in rejects] == ["long0", "small0", "long1", "small1"]
+    assert "exceed max_seq_len" in rejects[0]["error"] and "smaller than" in rejects[1]["error"]
 
 
 def test_filter_config_validation():

@@ -299,8 +299,8 @@ def test_lr_schedule_endpoints():
 def test_adam_matches_hand_stepped_recurrence():
     rng = _rng(9)
     p0 = rng.normal(size=(4,))
-    cfg = AdamConfig(peak_lr=0.01, warmup_frac=0.0, beta1=0.9, beta2=0.98,
-                     weight_decay=0.01, total_steps=5)
+    assert (nn.ADAM_BETA1, nn.ADAM_BETA2) == (0.9, 0.98)
+    cfg = AdamConfig(peak_lr=0.01, warmup_frac=0.0, total_steps=5)
     params = {"p": p0.copy()}
     state = adam_init(params, cfg)
     grads_per_step = [rng.normal(size=(4,)) for _ in range(5)]
@@ -315,17 +315,17 @@ def test_adam_matches_hand_stepped_recurrence():
         v = 0.98 * v + 0.02 * g * g
         mhat = m / (1.0 - 0.9 ** step)
         vhat = v / (1.0 - 0.98 ** step)
-        p -= lr * (mhat / (np.sqrt(vhat) + cfg.eps) + cfg.weight_decay * p)
+        p -= lr * (mhat / (np.sqrt(vhat) + nn.ADAM_EPS) + nn.WEIGHT_DECAY * p)
     assert np.allclose(params["p"], p, atol=1e-12)
 
 
 def test_adam_weight_decay_is_decoupled():
     # zero gradient still shrinks the weight, and by exactly lr*wd*p
-    cfg = AdamConfig(peak_lr=0.1, warmup_frac=0.0, weight_decay=0.5, total_steps=1)
+    cfg = AdamConfig(peak_lr=0.1, warmup_frac=0.0, total_steps=1)
     params = {"p": np.array([2.0])}
     state = adam_init(params, cfg)
     adam_step(params, {"p": np.zeros(1)}, state)
-    assert params["p"][0] == pytest.approx(2.0 - 0.1 * 0.5 * 2.0)
+    assert params["p"][0] == pytest.approx(2.0 - 0.1 * nn.WEIGHT_DECAY * 2.0)
 
 
 def test_adam_rejects_nonfinite_gradient_by_name():

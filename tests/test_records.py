@@ -130,6 +130,9 @@ def test_strict_mode_raises_on_first_bad_line(tmp_path):
     empty_pixels = '{"id": "e", "text": "t", "image": {"pixels": {"shape": [1, 0, 16], "data": []}}}'
     surrogate_text = good.replace('"fine"', '"fine \\ud800"')
     surrogate_id = '{"id": "\\udc00", "score": 1.0, "modality": "caption"}'
+    blank_caption = good.replace('"fine"', '" "')
+    blank_item = json.dumps(InterleavedDoc(id="d", items=[
+        DocItem(kind="image", image=_pixels()), DocItem(kind="text", text=" ")]).to_obj())
     cases = [
         (['{"id": 42}'], 1),
         (["{not json", good], 1),          # invalid JSON
@@ -144,6 +147,8 @@ def test_strict_mode_raises_on_first_bad_line(tmp_path):
         ([good, empty_pixels], 2),         # pixels with a zero dimension
         ([good, surrogate_text], 2),       # a lone surrogate cannot be written as UTF-8
         ([surrogate_id], 1),
+        ([good, blank_caption], 2),        # the reader's one rule for blank text
+        ([good, good, blank_item], 3),
     ]
     path = tmp_path / "bad.jsonl"
     for lines, line_no in cases:
