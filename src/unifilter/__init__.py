@@ -2,8 +2,8 @@
 
 Build labeled semi-synthetic quality data over four levels, train a single
 regressor that scores both image-text captions and interleaved documents,
-then filter, pack, and report on a corpus with it.  Pure numpy/scipy; every
-step is seeded and byte-reproducible.
+then filter, pack, and report on a corpus with it.  Pure numpy; every step
+is seeded and byte-reproducible.
 """
 
 import os

@@ -11,7 +11,8 @@ scored against only the keys it can see, so its largest buffer is
 (heads, ATTN_TILE, n), never (heads, n, n).  All math is plain numpy on
 (seq, dim) matrices; parameters live in a flat dict of named float arrays,
 which keeps the optimizer, the checkpoint format and the finite-difference
-harness trivially generic.
+harness trivially generic.  GELU's erf is a numpy port of the Cephes erf
+that scipy.special.erf runs, so nothing here needs scipy.
 
 Gradient correctness is enforced by grad_check, a central-difference probe
 over every parameter entry.  Anything new added here must pass it before use.
@@ -23,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erf
 
 from .common import DataError, NumericError, atomic_write, dump_json_line, read_json_file
 
@@ -46,6 +46,92 @@ def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 def linear_backward(dy, x, w):
     """Returns (dx, dw, db) for y = x @ w + b with x of shape (n, d_in)."""
     return dy @ w.T, x.T @ dy, dy.sum(axis=0)
+
+
+# Cephes erf (ndtr.c), the coefficients scipy.special.erf evaluates, highest
+# degree first: T/U for |x| <= 1 and erfc's P/Q above.  U and Q are monic;
+# their leading 1 is implied, as in Cephes' p1evl.
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERF_ONE_FROM = 6.5  # erfc(6.5) < 2**-54, so erf is 1.0 from here on
+ERF_BLOCK = 65536    # entries per block: erf's two scratch buffers take 1 MB
+
+
+def _horner(z, coefs, out, monic=False):
+    """Writes the polynomial at z into out, by Horner's rule in the order of
+    Cephes' polevl (p1evl when monic), so each step rounds as scipy's does."""
+    if monic:
+        np.add(z, coefs[0], out=out)
+    else:
+        np.multiply(z, coefs[0], out=out)
+        out += coefs[1]
+        coefs = coefs[1:]
+    for c in coefs[1:]:
+        out *= z
+        out += c
+    return out
+
+
+def _erf_tail(x):
+    """erf of entries with |x| > 1 or NaN: 1 - exp(-x^2) P(|x|)/Q(|x|), with
+    the sign of x, as a new array."""
+    c = np.abs(x)
+    np.minimum(c, _ERF_ONE_FROM, out=c)
+    p = _horner(c, _ERFC_P, np.empty_like(c))
+    q = _horner(c, _ERFC_Q, np.empty_like(c), monic=True)
+    c *= c
+    np.negative(c, out=c)
+    np.exp(c, out=c)
+    c *= p
+    c /= q
+    np.subtract(1.0, c, out=c)
+    return np.copysign(c, x, out=c)
+
+
+def erf(x, out=None):
+    """The error function, elementwise, of a float64 array.
+
+    A numpy port of the Cephes erf that scipy.special.erf runs, with its
+    coefficients and order of operations: x*T(x^2)/U(x^2) for |x| <= 1, and
+    1 - exp(-x^2)*P(|x|)/Q(|x|) above, with the sign of x, where |x| is
+    clamped to 6.5 (the result is 1.0 already).  It is bitwise scipy's for
+    |x| <= 1 and within 1 ulp above, where numpy's exp and libm's can differ
+    by 1 ulp.  Signed zeros keep their sign and NaN stays NaN.
+
+    The array is worked through ERF_BLOCK entries at a time.  The |x| <= 1
+    formula runs on every entry of a block, with x clipped to [-1, 1], and
+    the few others are gathered, computed apart and scattered back.  Memory
+    beyond out stays bounded: two block-sized scratch buffers and the
+    gathered entries.  out, C-contiguous, may be x itself.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if out is None:
+        out = np.empty(x.shape)
+    elif not out.flags.c_contiguous:
+        raise ValueError("erf needs a C-contiguous out")
+    src, dst = x.reshape(-1), out.reshape(-1)
+    w, z = np.empty((2, min(src.size, ERF_BLOCK)))
+    for s in range(0, src.size, ERF_BLOCK):
+        xb, ob = src[s:s + ERF_BLOCK], dst[s:s + ERF_BLOCK]
+        wb, zb = w[:xb.size], z[:xb.size]
+        np.clip(xb, -1.0, 1.0, out=wb)
+        tail = np.flatnonzero(wb != xb)  # |x| > 1 or NaN
+        tail_erf = _erf_tail(xb[tail]) if tail.size else None
+        np.multiply(wb, wb, out=zb)
+        _horner(zb, _ERF_T, ob)  # ob may be xb, which is not read from here on
+        ob *= wb
+        ob /= _horner(zb, _ERF_U, wb, monic=True)
+        if tail_erf is not None:
+            ob[tail] = tail_erf
+    return out
 
 
 def gelu(x: np.ndarray, keep_cdf: bool = True):

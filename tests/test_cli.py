@@ -762,6 +762,38 @@ def test_blas_thread_policy_in_a_fresh_interpreter(tmp_path):
         assert manifest["config"]["workers"] == len(os.sched_getaffinity(0))
 
 
+def test_the_cli_runs_without_scipy(tmp_path):
+    """scipy is only the tests' oracle: importing the CLI loads none of it, and
+    gen -> train -> score with scipy's import blocked writes the checkpoint and
+    scores of an unblocked run."""
+    env = dict(os.environ)
+    src = str(Path(unifilter.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    loaded = subprocess.run([sys.executable, "-c", "import sys, unifilter.cli; "
+                             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+                            env=env, check=True, timeout=120, capture_output=True, text=True)
+    assert loaded.stdout.strip() == "[]"
+
+    data = _gen(tmp_path, seed=6, levels_count=2)
+    ckpt = _train(tmp_path, data)
+    assert main(["score", "--checkpoint", str(ckpt), "--in", str(data / "val.jsonl"),
+                 "--out", str(tmp_path / "scores.jsonl")]) == 0
+    blocked = tmp_path / "blocked"
+    cli = ("import sys; sys.modules['scipy'] = None; "
+           "from unifilter.cli import main; sys.exit(main(sys.argv[1:]))")
+    for argv in (["gen", "--out", str(blocked), "--levels-count", "2", "--seed", "6",
+                  "--val-fraction", "0.1"],
+                 ["train", "--train", str(blocked / "train.jsonl"), "--val", str(blocked / "val.jsonl"),
+                  "--epochs", "1", "--config", _write_cfg(tmp_path), "--seed", "5",
+                  "--out-checkpoint", str(blocked / "model.json")],
+                 ["score", "--checkpoint", str(blocked / "model.json"),
+                  "--in", str(blocked / "val.jsonl"), "--out", str(blocked / "scores.jsonl")]):
+        subprocess.run([sys.executable, "-c", cli, *argv], env=env, check=True, timeout=120,
+                       stdout=subprocess.DEVNULL)
+    assert (blocked / "model.json").read_bytes() == ckpt.read_bytes()
+    assert (blocked / "scores.jsonl").read_bytes() == (tmp_path / "scores.jsonl").read_bytes()
+
+
 def test_every_subcommand_writes_a_manifest(tmp_path):
     data = _gen(tmp_path, seed=9, levels_count=2)
     assert (data / "manifest.json").exists()

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.special import erf
+import scipy.special
 
 from unifilter import nn
 from unifilter.common import NumericError
@@ -13,6 +13,7 @@ from unifilter.nn import (
     adam_step,
     causal_self_attention,
     causal_self_attention_backward,
+    erf,
     gelu,
     gelu_backward,
     grad_check,
@@ -33,6 +34,46 @@ GRAD_TOL = 1e-4
 
 def _rng(seed):
     return np.random.default_rng(seed)
+
+
+def _ulps(a, b):
+    """Distance in float64 steps between same-signed finite arrays."""
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
+def test_erf_within_one_ulp_of_scipy():
+    """nn.erf ports the Cephes erf scipy runs: bitwise for |x| <= 1, where no
+    exp is taken, and within 1 ulp above (numpy's exp against libm's)."""
+    rng = _rng(21)
+    for scale in (0.3, 1.0, 3.0, 10.0, 40.0):
+        x = rng.normal(0.0, scale, size=200_000)  # 10**6 draws in all, several blocks each
+        ours, ref = erf(x), scipy.special.erf(x)
+        assert _ulps(ours, ref).max() <= 1, scale
+        small = np.abs(x) <= 1.0
+        assert np.array_equal(ours[small], ref[small]), scale
+
+
+def test_erf_special_values_are_exact():
+    zeros = erf(np.array([0.0, -0.0]))
+    assert np.array_equal(zeros, [0.0, 0.0]) and list(np.signbit(zeros)) == [False, True]
+    assert np.isnan(erf(np.array([np.nan, -np.nan]))).all()
+    # subnormals and +-1 take the |x| <= 1 formula, which matches scipy bitwise
+    small = np.array([5e-324, -5e-324, 1e-310, -2.2e-308, 1.0, -1.0])
+    assert np.array_equal(erf(small), scipy.special.erf(small))
+    big = np.array([6.0, 6.5, 7.0, 8.0, 27.0, 1e10, 1e308, np.inf])
+    assert np.array_equal(erf(big), np.ones(8))
+    assert np.array_equal(erf(-big), -np.ones(8))
+
+
+def test_erf_out_may_be_its_input():
+    """Across block edges, in place is a fresh array; any input layout reads."""
+    x = _rng(22).normal(0.0, 2.0, size=(3, nn.ERF_BLOCK // 2 + 5))
+    fresh = erf(x)
+    assert np.array_equal(erf(x[:, ::-1]), fresh[:, ::-1])
+    assert erf(x, out=x) is x
+    assert np.array_equal(x, fresh)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        erf(fresh, out=x[:, ::2])
 
 
 def test_gelu_matches_erf_formula():
