@@ -65,7 +65,6 @@ from .records import (
 )
 from .synthgen import (
     build_dataset,
-    build_prompt,
     keyword_overlap_label,
     make_mock_benchmark,
     make_mock_sources,

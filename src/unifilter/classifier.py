@@ -161,7 +161,11 @@ def assemble(record, cfg: ModelConfig, vocab: Vocab, params: Params) -> Assemble
     pos = 0
     for item, ids in zip(items, item_ids):
         if ids is None:
-            pooled = adaptive_avg_pool_2d(patchify_embed(item.image, cfg.encoder), cfg.encoder.t)
+            grid = patchify_embed(item.image, cfg.encoder)
+            if grid.vecs.shape[2] != cfg.encoder.d_v:
+                raise DataError(f"precomputed patch grid has dim {grid.vecs.shape[2]}, "
+                                f"encoder expects {cfg.encoder.d_v}")
+            pooled = adaptive_avg_pool_2d(grid, cfg.encoder.t)
             img_emb, proj_cache = project(pooled, params)
             chunks.append(img_emb)
             image_blocks.append((pos, proj_cache))

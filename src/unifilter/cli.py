@@ -18,8 +18,6 @@ import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import BLAS_THREADS, clustering, filtering, metrics, synthgen
 from .classifier import ModelConfig, TrainConfig, load_model, save_model, train
 from .common import (DataError, NumericError, __version__, atomic_write, check_counts,
@@ -134,7 +132,8 @@ def cmd_cluster(args):
             vecs.append(clustering.image_embedding(rec.image, enc_cfg))
         else:
             vecs.append(clustering.doc_embedding(rec, enc_cfg))
-    matrix = clustering.EmbeddingMatrix(ids=ids, vecs=np.stack(vecs))
+    matrix = clustering.EmbeddingMatrix(
+        ids=ids, vecs=clustering.stack_same_width(vecs, f"{args.embeddings_from}: corpus"))
     result = clustering.kmeans(matrix, kcfg)
     selected = clustering.sample_per_cluster(ids, result.assignments, scfg)
 

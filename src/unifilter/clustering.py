@@ -33,12 +33,22 @@ def image_embedding(payload: ImagePayload, cfg: EncoderConfig) -> np.ndarray:
     return vec / norm
 
 
+def stack_same_width(vecs: list[np.ndarray], what: str) -> np.ndarray:
+    """Embeddings as rows.  Pixels embed at cfg.d_v and a patch grid at its
+    own width; widths that differ share no space, a DataError naming what."""
+    widths = sorted({v.shape[0] for v in vecs})
+    if len(widths) > 1:
+        raise DataError(f"{what} mixes image embedding widths {widths}")
+    return np.stack(vecs)
+
+
 def doc_embedding(doc: InterleavedDoc, cfg: EncoderConfig) -> np.ndarray:
     """Mean of the document's image embeddings, L2 normalized."""
     images = doc.images()
     if not images:
         raise DataError(f"doc {doc.id!r} has no images to embed")
-    vec = np.mean([image_embedding(img, cfg) for img in images], axis=0)
+    vec = stack_same_width([image_embedding(img, cfg) for img in images],
+                           f"doc {doc.id!r}").mean(axis=0)
     norm = float(np.linalg.norm(vec))
     if norm == 0.0:
         raise DataError(f"doc {doc.id!r} embedding is all zeros; cannot normalize")

@@ -62,15 +62,12 @@ def patch_embed_weights(cfg: EncoderConfig, channels: int):
 
 
 def patchify_embed(payload: ImagePayload, cfg: EncoderConfig) -> PatchGrid:
-    """Pixels -> frozen patch vectors; precomputed grids pass through.
+    """Pixels -> frozen patch vectors; precomputed grids pass through at any width.
 
-    Raises DataError when image dims are not divisible by the patch size, or
-    when a precomputed grid's vector width disagrees with cfg.d_v.
+    Raises DataError when image dims are not divisible by the patch size.
     """
     if payload.patches is not None:
-        h, w, dv = payload.patches.shape
-        if dv != cfg.d_v:
-            raise DataError(f"precomputed patch grid has dim {dv}, encoder expects {cfg.d_v}")
+        h, w, _ = payload.patches.shape
         return PatchGrid(h=h, w=w, vecs=payload.patches)
 
     pix = payload.pixels

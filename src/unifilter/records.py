@@ -8,7 +8,7 @@ Four record kinds travel through the pipeline:
   scored       {"id", "score", "modality"}
 
 An image payload is either raw pixels (channels x height x width, row-major)
-or a precomputed patch grid (h x w cells of d_v-dim vectors), exactly one of
+or a precomputed patch grid (h x w cells of dim-wide vectors), exactly one of
 the two:
 
   {"pixels": {"shape": [c,h,w], "data": [...]}}

@@ -1,12 +1,11 @@
 """Semi-synthetic labeled data: real images, generated text at four quality levels.
 
 Levels are 0 easy_negative, 1 medium_negative, 2 hard_negative, 3 positive.
-build_prompt renders the full generation prompt for either modality with the
-level's quality-requirement text substituted; responses are JSON objects
-({topic, positive_caption, negative_caption} for captions, {image_tags,
-document} for interleaved, images referenced as <img>description</img> tags).
-The prompts and the two response parsers are the contract a real generator
-must meet; every mock response passes through the same parsers.
+A generator answers with a JSON object: {topic, positive_caption,
+negative_caption} for a caption, {image_tags, document} for an interleaved
+document, whose text places each image once as an <img>description</img>
+tag.  The two response parsers enforce those shapes, and they are the whole
+contract a real generator must meet; every mock response passes through them.
 
 The mock generator needs no network: it derives K = 4 pseudo-keywords per
 image from patch statistics (quadrant mean intensities bucketed into
@@ -18,12 +17,11 @@ image encodes the level exactly:
   medium_negative all but one keyword swapped
   easy_negative   keywords from a different image, none shared
 
-Writing quality also degrades with the level, as the generation requirements
-demand (easy text is disfluent, medium readable with slips, positive clean
-and detail-enriched), so a trained model has both surface-fluency and
-image-text-overlap signal to work with.  keyword_overlap_label inverts the
-overlap construction and is the independent check that generated labels are
-recoverable from the text alone.
+Writing quality also degrades with the level (the filler banks below), so a
+trained model has both surface-fluency and image-text-overlap signal to
+work with.  keyword_overlap_label inverts the overlap construction and is
+the independent check that generated labels are recoverable from the text
+alone.
 """
 
 from __future__ import annotations
@@ -42,88 +40,6 @@ from .records import (CaptionSample, DocItem, ImagePayload, InterleavedDoc, Labe
                       LEVEL_NAMES, as_document)
 
 EASY, MEDIUM, HARD, POSITIVE = 0, 1, 2, 3
-
-# --- prompt templates --------------------------------------------------------------
-
-CAPTION_LEVEL_REQUIREMENTS = {
-    EASY: "a negative image caption which is completely unrelated to this image.",
-    MEDIUM: "a negative image caption which has remarkable errors in describing the image.",
-    HARD: ("a hard negative image caption which has subtle difference with the positive "
-           "caption. The negative caption contains only one property error in describing "
-           "the image."),
-    POSITIVE: "a high-quality, comprehensive, detail-enriched caption for this image.",
-}
-
-INTERLEAVED_LEVEL_REQUIREMENTS = {
-    EASY: ("This document should involve many errors in writing and the document itself "
-           "is not fluent in reading. The images and the text in the document should be "
-           "completely not related. The images are inserted in inappropriate and "
-           "arbitrary places in the document. This document should be knowledge limited "
-           "and has no educational value to be used as textbooks in primary school or "
-           "grade school teaching."),
-    MEDIUM: ("This document is readable but still contains several writing errors. The "
-             "images and document text are under the same topic and the text contents "
-             "are still not aligned well to the images. The document is knowledge sparse "
-             "and has very limited educational value to be used as textbooks in primary "
-             "school or grade school teaching."),
-    HARD: ("This document should involve several errors in writing. The images and the "
-           "text in the document are partially related. However, the images cannot help "
-           "the understanding of the text and cannot provide any additional information. "
-           "The images are inserted in reasonable places in the document. This document "
-           "should contain several factual or commonsense knowledge errors which makes "
-           "it inappropriate for educational purposes."),
-    POSITIVE: ("This document is a high-quality, comprehensive, detail-enriched document. "
-               "The images are inserted in the appropriate places in the document to "
-               "provide additional information to the statement or provide the "
-               "background information."),
-}
-
-CAPTION_PROMPT_TEMPLATE = """You are a helpful assistant to help users write two opposite image captions for the given image in JSON format. The JSON object must contain the following keys:
-- "topic": a string, a topic word of this image
-- "positive_caption": a string, a high-quality, comprehensive, detail-enriched caption for this image.
-- "negative_caption": a string, {requirement}
-
-Please adhere to the following guidelines:
-- Both captions should be at least {num_words} words long.
-- Both captions should be in English.
-- Please avoid using complex or advanced words in the captions. Ensure that the language is suitable for a high school level audience or lower.
-
-Your output must always be a JSON object only, do not explain yourself or output anything else. Be creative!"""
-
-INTERLEAVED_PROMPT_TEMPLATE = """You are an assistant to help users to write a document given several images. These images are extracted from a paper, report, or article in which these images are inserted.
-
-<guideline>
-Please firstly generate a xml tag for each image in order for future generation. For each image, please generate a xml tag like "<img>image description</img>". You need to replace the image description with your generated short description of this image which is less than 5 words.
-
-For the second task, {requirement}
-
-Please adhere to the following guidelines when writing this document:
-- The paragraphs in the document should be in varied length.
-- The document should contain at least 500 words.
-- You NEED to use xml tag as the placeholder to indicate the place where an image is inserted into.
-- You NEED to ensure that all given images are used and considered.
-- You MUST NOT use the image xml tag within your sentences. You should add them between sentences and paragraphs.
-- You MUST use each image for ONLY ONCE in the document.
-
-Your output must always be a JSON object only. The JSON object must contain the keys of "image_tags" and "document".
-
-</guideline>
-
-Now, it is your turn. Please strictly follow the above guidelines in <guideline> xml tags when writing the document."""
-
-
-def build_prompt(modality: str, level: int, num_words: int = 50) -> str:
-    """Byte-stable generation prompt for (modality, level)."""
-    if level not in LEVEL_NAMES:
-        raise DataError(f"unknown quality level {level}")
-    if modality == "caption":
-        return CAPTION_PROMPT_TEMPLATE.format(
-            requirement=CAPTION_LEVEL_REQUIREMENTS[level], num_words=num_words)
-    if modality == "interleaved":
-        return INTERLEAVED_PROMPT_TEMPLATE.format(
-            requirement=INTERLEAVED_LEVEL_REQUIREMENTS[level])
-    raise DataError(f"unknown modality {modality!r}")
-
 
 # --- keyword machinery ---------------------------------------------------------------
 #
@@ -226,8 +142,8 @@ _CAPTION_TEMPLATE = "A {0} rests by the {1} in {2} tones near the {3}."
 _DOC_SENTENCE_TEMPLATE = "Here a {0} waits by the {1} in {2} tones near the {3}."
 
 # level-graded filler: the lower the quality level, the rougher the writing,
-# mirroring the generation requirements (easy text is disfluent, medium is
-# readable with slips, hard is clean, positive is clean and detail-enriched)
+# mirroring the paper's per-level requirements (easy text is disfluent, medium
+# is readable with slips, hard is clean, positive is clean and detail-enriched)
 _EASY_FILLERS = [
     "the the notes notes is wrten very bad and and it make no sense sense.",
     "this part part is wrting gone wrong wrong and the the words drift off.",

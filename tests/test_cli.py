@@ -16,8 +16,8 @@ from unifilter.classifier import (TASK_GROUPS, ModelConfig, QualityModel, _cost,
 from unifilter.cli import main
 from unifilter.common import DataError, child_rng, read_json_file
 from unifilter.packing import Vocab
-from unifilter.records import (CaptionSample, DocItem, ImagePayload, InterleavedDoc, ScoredRecord,
-                               write_records)
+from unifilter.records import (CaptionSample, DocItem, ImagePayload, InterleavedDoc, LabeledSample,
+                               ScoredRecord, write_records)
 
 TINY_CFG = {
     "encoder": {"patch_size": 4, "d_v": 8, "t": 4, "d": 16, "seed": 0},
@@ -172,6 +172,66 @@ def test_dfn_filter_pack_stats_cli(tmp_path):
     assert stats["n_records"] == len(docs)
     assert stats["avg_doc_len"] == pytest.approx(
         stats["avg_text_len"] + 16 * stats["avg_images_per_doc"], abs=1e-9)
+
+
+def _grid(width, seed):
+    return ImagePayload(patches=child_rng(seed, "grid").normal(size=(4, 4, width)))
+
+
+def test_cluster_and_dfn_filter_take_patch_grids_of_any_width(tmp_path):
+    corpus = tmp_path / "grids.jsonl"
+    write_records(corpus, [CaptionSample(id=f"g{i}", image=_grid(16, i), text="the fox runs")
+                           for i in range(6)])
+    assert main(["cluster", "--embeddings-from", str(corpus), "--k", "2", "--per-cluster", "1",
+                 "--seed", "1", "--out", str(tmp_path / "clusters.json")]) == 0
+    assert json.loads((tmp_path / "clusters.json").read_text())["n"] == 6
+    assert main(["dfn-filter", "--in", str(corpus), "--threshold", "-1.0",
+                 "--out", str(tmp_path / "dfn.jsonl")]) == 0
+    assert (tmp_path / "dfn.jsonl").read_bytes() == corpus.read_bytes()
+
+
+@pytest.mark.parametrize("records, where", [
+    ([CaptionSample(id="p", text="the fox",
+                    image=ImagePayload(pixels=child_rng(0, "px").uniform(size=(1, 16, 16)))),
+      CaptionSample(id="g", image=_grid(16, 1), text="the fox")], "corpus"),
+    ([InterleavedDoc(id="d", items=[DocItem(kind="image", image=_grid(8, 2)),
+                                    DocItem(kind="text", text="the fox"),
+                                    DocItem(kind="image", image=_grid(16, 3))])], "doc 'd'"),
+], ids=["pixels-and-wide-grids", "one-doc-two-widths"])
+def test_cluster_refuses_mixed_image_widths(tmp_path, capsys, records, where):
+    corpus = tmp_path / "mixed.jsonl"
+    write_records(corpus, records)
+    capsys.readouterr()
+    rc = main(["cluster", "--embeddings-from", str(corpus), "--k", "1",
+               "--out", str(tmp_path / "clusters.json")])
+    err = capsys.readouterr().err
+    assert rc == 3 and "Traceback" not in err
+    message = json.loads(err)["message"]
+    assert where in message and "mixes image embedding widths [8, 16]" in message
+    assert not (tmp_path / "clusters.json").exists()
+
+
+def test_a_grid_not_d_v_wide_is_a_score_reject_and_an_eval_error(tmp_path, capsys):
+    save_model(tmp_path / "model.json", _tiny_model())        # d_v 8
+    corpus = tmp_path / "corpus.jsonl"
+    write_records(corpus, [CaptionSample(id="ok", image=_grid(8, 0), text="the fox"),
+                           CaptionSample(id="wide", image=_grid(16, 1), text="the fox")])
+    assert main(["score", "--checkpoint", str(tmp_path / "model.json"), "--in", str(corpus),
+                 "--out", str(tmp_path / "scores.jsonl")]) == 0
+    rejects = (tmp_path / "scores.rejects.jsonl").read_text().splitlines()
+    assert [json.loads(line) for line in rejects] == [
+        {"id": "wide", "error": "precomputed patch grid has dim 16, encoder expects 8"}]
+
+    labeled = tmp_path / "labeled.jsonl"
+    write_records(labeled, [LabeledSample(record=CaptionSample(id="wide", image=_grid(16, 1),
+                                                               text="the fox"),
+                                          label=3, level_name="positive")])
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(tmp_path / "model.json"), "--val", str(labeled),
+                 "--out", str(tmp_path / "eval.json")]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["message"] == "precomputed patch grid has dim 16, encoder expects 8"
+    assert not (tmp_path / "eval.json").exists()
 
 
 def test_bench_cli(tmp_path):

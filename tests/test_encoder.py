@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from unifilter.classifier import ModelConfig, assemble, init_params
 from unifilter.common import DataError, child_rng
 from unifilter.encoder import (
     EncoderConfig,
@@ -14,7 +15,8 @@ from unifilter.encoder import (
     patchify_embed,
     project,
 )
-from unifilter.records import ImagePayload
+from unifilter.packing import Vocab
+from unifilter.records import CaptionSample, ImagePayload
 
 
 def test_pool_4x4_to_2x2_oracle():
@@ -119,11 +121,16 @@ def test_patch_embed_weights_are_deterministic_per_seed():
 def test_patch_grid_payload_passes_through():
     cfg = EncoderConfig(patch_size=4, d_v=6, t=2, d=8, seed=0)
     rng = child_rng(0, "pg")
-    patches = rng.normal(size=(3, 5, 6))
-    grid = patchify_embed(ImagePayload(patches=patches), cfg)
-    assert np.array_equal(grid.vecs, patches)
-    with pytest.raises(DataError):
-        patchify_embed(ImagePayload(patches=rng.normal(size=(3, 5, 7))), cfg)
+    for width in (6, 7):        # any width; only assembly, which projects, needs d_v
+        patches = rng.normal(size=(3, 5, width))
+        grid = patchify_embed(ImagePayload(patches=patches), cfg)
+        assert np.array_equal(grid.vecs, patches)
+    mcfg = ModelConfig(d=8, n_layers=1, n_heads=2, max_seq_len=32, encoder=cfg)
+    vocab = Vocab(words=["fox"])
+    params = init_params(mcfg, len(vocab), child_rng(0, "init"))
+    wide = CaptionSample(id="w", image=ImagePayload(patches=patches), text="fox")
+    with pytest.raises(DataError, match="precomputed patch grid has dim 7, encoder expects 6"):
+        assemble(wide, mcfg, vocab, params)
 
 
 def test_pixels_must_divide_by_patch_size():

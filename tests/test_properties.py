@@ -4,7 +4,8 @@ A JSONL round trip is byte-stable, and a score reads the record's content
 alone: ids repeat across splits, so a record under another id, or a copy
 read back from disk, must score bitwise equal to the original.  A
 forward-only pass, which keeps no activations, scores bitwise equal to the
-pass that keeps them for training.
+pass that keeps them for training.  Packing fills every sequence, keeps
+every non-pad id in order and never splits an image run.
 """
 
 import dataclasses
@@ -19,9 +20,10 @@ from hypothesis.extra.numpy import arrays
 from unifilter.classifier import ModelConfig, QualityModel, assemble, forward_score, init_params
 from unifilter.common import child_rng
 from unifilter.encoder import EncoderConfig
-from unifilter.packing import build_vocab
+from unifilter.packing import (END_OF_CHUNK_ID, IMAGE_PLACEHOLDER_ID, PAD_ID, build_vocab,
+                               flatten_doc, pack)
 from unifilter.records import (CaptionSample, DocItem, ImagePayload, InterleavedDoc,
-                               read_records, write_records)
+                               as_document, read_records, write_records)
 
 CFG = ModelConfig(d=8, n_layers=1, n_heads=2, max_seq_len=48,
                   encoder=EncoderConfig(patch_size=2, d_v=4, t=2, d=8, seed=0))
@@ -93,3 +95,21 @@ def test_a_forward_without_cache_scores_bitwise_equal_to_one_with_it(record):
     kept, cache = forward_score(asm, CFG, MODEL.params, keep_cache=True)
     assert none is None and cache is not None
     assert _bits(plain) == _bits(kept)
+
+
+@SETTINGS
+@given(st.lists(records, min_size=1, max_size=4), st.integers(1, 3), st.integers(2, 24))
+def test_pack_fills_sequences_keeps_ids_in_order_and_never_splits_an_image(recs, t, above):
+    t2 = t * t
+    context_len = t2 + above            # pack needs more than one image run, t*t + 1
+    seqs = pack(recs, context_len, VOCAB, t)
+    assert all(len(s.tokens) == context_len for s in seqs)
+    flat = [i for rec in recs for i in flatten_doc(rec, VOCAB, t).ids]
+    assert [i for s in seqs for i in s.tokens if i != PAD_ID] == flat
+    assert sum(len(s.slots) for s in seqs) == sum(len(as_document(r).images()) for r in recs)
+    for s in seqs:      # each slot's whole run, and its marker, sit inside its sequence
+        runs = {i for slot in s.slots for i in range(slot["pos"], slot["pos"] + t2)}
+        assert len(runs) == t2 * len(s.slots) and max(runs, default=0) < context_len
+        assert runs == {i for i, tok in enumerate(s.tokens) if tok == IMAGE_PLACEHOLDER_ID}
+        starts = {slot["pos"] for slot in s.slots}
+        assert all(i + 1 in starts for i, tok in enumerate(s.tokens) if tok == END_OF_CHUNK_ID)

@@ -1,4 +1,4 @@
-"""Prompt rendering, mock generation, response parsing, dataset assembly."""
+"""Mock generation, response parsing, dataset assembly."""
 
 import hashlib
 
@@ -9,11 +9,8 @@ from unifilter.common import DataError, child_rng
 from unifilter.records import (CaptionSample, DocItem, ImagePayload, InterleavedDoc,
                                write_records)
 from unifilter.synthgen import (
-    CAPTION_LEVEL_REQUIREMENTS,
-    INTERLEAVED_LEVEL_REQUIREMENTS,
     N_BUCKETS,
     build_dataset,
-    build_prompt,
     derive_buckets,
     derive_keywords,
     keyword_overlap_label,
@@ -27,41 +24,6 @@ from unifilter.synthgen import (
 )
 
 LEVELS = [0, 1, 2, 3]
-
-
-# --- prompts -----------------------------------------------------------------------
-
-
-def test_caption_prompt_contains_schema_and_requirement():
-    for level in LEVELS:
-        prompt = build_prompt("caption", level, num_words=50)
-        assert '"topic"' in prompt
-        assert '"positive_caption"' in prompt
-        assert '"negative_caption"' in prompt
-        assert "at least 50 words long" in prompt
-        assert CAPTION_LEVEL_REQUIREMENTS[level] in prompt
-
-
-def test_caption_prompt_num_words_is_substituted():
-    assert "at least 80 words long" in build_prompt("caption", 3, num_words=80)
-
-
-def test_interleaved_prompt_contains_guidelines_and_requirement():
-    for level in LEVELS:
-        prompt = build_prompt("interleaved", level)
-        assert '"<img>image description</img>"' in prompt
-        assert "at least 500 words" in prompt
-        assert "MUST use each image for ONLY ONCE" in prompt
-        assert "MUST NOT use the image xml tag within your sentences" in prompt
-        assert '"image_tags" and "document"' in prompt
-        assert INTERLEAVED_LEVEL_REQUIREMENTS[level] in prompt
-
-
-def test_build_prompt_rejects_unknown_inputs():
-    with pytest.raises(DataError):
-        build_prompt("caption", 7)
-    with pytest.raises(DataError):
-        build_prompt("video", 2)
 
 
 # --- mock generation ---------------------------------------------------------------
