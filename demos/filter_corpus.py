@@ -70,7 +70,7 @@ def main_demo():
     print(f"  -> kept {n_kept}/{n_in} records "
           f"(score threshold {manifest['config']['score_threshold']:+.3f})")
 
-    # the DFN baseline only applies to interleaved documents
+    # the DFN baseline, run on the documents alone (it takes captions too)
     docs_only = root / "docs.jsonl"
     docs = [r.record for r in read_records(data / "train.jsonl", "labeled")
             if isinstance(r.record, InterleavedDoc)]

@@ -122,14 +122,11 @@ def write_json_file(path, obj) -> None:
         fh.write("\n")
 
 
-def read_json_file(path, object_hook=None) -> dict:
-    """The JSON object in a file; DataError names the path when there is none.
-
-    object_hook, as for json.load, sees each object as the parser completes it.
-    """
+def read_json_file(path) -> dict:
+    """The JSON object in a file; DataError names the path when there is none."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh, object_hook=object_hook)
+            obj = json.load(fh)
     except FileNotFoundError:
         raise DataError(f"missing input file: {path}") from None
     except UnicodeDecodeError:

@@ -11,8 +11,10 @@ scored against only the keys it can see, so its largest buffer is
 (heads, ATTN_TILE, n), never (heads, n, n).  All math is plain numpy on
 (seq, dim) matrices; parameters live in a flat dict of named float arrays,
 which keeps the optimizer, the checkpoint format and the finite-difference
-harness trivially generic.  GELU's erf is a numpy port of the Cephes erf
-that scipy.special.erf runs, so nothing here needs scipy.
+harness trivially generic.  A checkpoint is one JSON line holding each
+tensor's shape and the base64 of its little-endian float64 bytes, so a
+loaded tensor is bitwise the saved one.  GELU's erf is a numpy port of
+the Cephes erf that scipy.special.erf runs, so nothing here needs scipy.
 
 Gradient correctness is enforced by grad_check, a central-difference probe
 over every parameter entry.  Anything new added here must pass it before use.
@@ -20,6 +22,7 @@ over every parameter entry.  Anything new added here must pass it before use.
 
 from __future__ import annotations
 
+import base64
 import math
 from dataclasses import dataclass, field
 
@@ -470,56 +473,38 @@ def grad_check(f, params: Params, eps: float = 1e-5):
 
 # --- named-tensor checkpoints ----------------------------------------------------------
 
-TENSOR_FORMAT = "unifilter-tensors-v1"
-SAVE_FLOATS = 4096  # floats save_tensors turns into text at a time
+TENSOR_FORMAT = "unifilter-tensors-v2"
+SAVE_FLOATS = 3 * 4096  # floats save_tensors encodes at a time
 
 
 def save_tensors(path, tensors: Params, meta: dict | None = None) -> None:
-    """JSON checkpoint of named arrays; floats keep full repr precision.
+    """JSON checkpoint of named arrays, each {"shape", "b64"}: the base64 of
+    its little-endian float64 bytes, so every value, NaN payloads and the
+    sign of zero included, comes back bit for bit.
 
-    Written as one compact line, which the C JSON encoder handles; indented
-    output would fall back to the much slower pure-Python encoder.  The line
-    is written SAVE_FLOATS floats at a time, the bytes of dump_json_line of
-    the whole {"format", "meta", "tensors"} object, so no tensor's float
-    list or text exists whole.
+    Written as one compact line, SAVE_FLOATS floats at a time, so no
+    tensor's bytes or text exists whole.  A multiple of 3 floats is a
+    multiple of 3 bytes, which base64 encodes without padding, so the
+    pieces join into the base64 of the whole tensor.
     """
     head = dump_json_line({"format": TENSOR_FORMAT, "meta": meta or {}})
     with atomic_write(path) as fh:
         fh.write(head[:-1] + ',"tensors":{')
         for i, (name, arr) in enumerate(tensors.items()):
             shape = dump_json_line(list(arr.shape))
-            fh.write(f'{"," if i else ""}{dump_json_line(name)}:{{"shape":{shape},"data":[')
+            fh.write(f'{"," if i else ""}{dump_json_line(name)}:{{"shape":{shape},"b64":"')
             flat = arr.ravel()
             for j in range(0, flat.size, SAVE_FLOATS):
-                floats = dump_json_line(flat[j:j + SAVE_FLOATS].tolist())[1:-1]
-                fh.write(("," if j else "") + floats)
-            fh.write("]}")
+                piece = np.asarray(flat[j:j + SAVE_FLOATS], dtype="<f8").tobytes()
+                fh.write(base64.b64encode(piece).decode("ascii"))
+            fh.write('"}')
         fh.write("}}\n")
 
 
-def _tensor(spec: dict) -> np.ndarray:
-    return np.asarray(spec["data"], dtype=np.float64).reshape(spec["shape"])
-
-
-def _tensor_hook(obj: dict):
-    """json object_hook: a {"shape", "data"} object becomes its array as soon
-    as the parser completes it, so one tensor's float list exists at a time.
-    An object that does not convert stays as it is, for load_tensors to name."""
-    if obj.keys() == {"shape", "data"}:
-        try:
-            return _tensor(obj)
-        except (TypeError, ValueError):
-            pass
-    return obj
-
-
 def load_tensors(path):
-    """Returns (tensors, meta).  Refuses files with an unknown format header.
-
-    Each tensor is parsed into its array as the parser reaches it, so the
-    float lists of the whole file never exist at once.
-    """
-    obj = read_json_file(path, object_hook=_tensor_hook)
+    """Returns (tensors, meta), each tensor a writable native float64 array
+    of its declared shape.  Refuses files with an unknown format header."""
+    obj = read_json_file(path)
     if obj.get("format") != TENSOR_FORMAT:
         raise DataError(f"{path}: unknown checkpoint format {obj.get('format')!r}")
     specs, meta = obj.get("tensors"), obj.get("meta", {})
@@ -528,8 +513,9 @@ def load_tensors(path):
     tensors = {}
     for name, spec in specs.items():
         try:
-            tensors[name] = spec if isinstance(spec, np.ndarray) else _tensor(spec)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"{path}: tensor {name!r} needs a 'shape' and matching 'data' "
+            raw = base64.b64decode(spec["b64"], validate=True)
+            tensors[name] = np.frombuffer(raw, "<f8").astype(np.float64).reshape(spec["shape"])
+        except (KeyError, TypeError, ValueError) as exc:   # binascii.Error is a ValueError
+            raise DataError(f"{path}: tensor {name!r} needs a 'shape' and matching 'b64' "
                             f"({exc})") from None
     return tensors, meta

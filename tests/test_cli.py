@@ -1,5 +1,6 @@
 """End-to-end pipeline runs through the command line entry point."""
 
+import base64
 import json
 import multiprocessing
 import os
@@ -8,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import unifilter
@@ -427,12 +429,16 @@ def test_out_of_range_inputs_exit_cleanly_without_output(tmp_path, capsys, small
             assert str(missing) in obj["message"]
 
 
+def _b64(values) -> str:
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
 @pytest.mark.parametrize("subcommand, breaks, problem", [
     ("score", lambda ck: {"format": ck["format"]}, "tensors"),
     ("eval", lambda ck: {**ck, "meta": {k: v for k, v in ck["meta"].items() if k != "config"}},
      "model config"),
     ("score", lambda ck: {**ck, "tensors": {**ck["tensors"],
-                                            "head_b": {"shape": [3], "data": [1, 2]}}},
+                                            "head_b": {"shape": [3], "b64": _b64([1, 2])}}},
      "head_b"),
     ("eval", lambda ck: {**ck, "meta": {**ck["meta"],
                                         "config": {**ck["meta"]["config"], "depth": 3}}},
@@ -441,12 +447,15 @@ def test_out_of_range_inputs_exit_cleanly_without_output(tmp_path, capsys, small
     ("score", lambda ck: {**ck, "tensors": {k: v for k, v in ck["tensors"].items()
                                             if k != "tok_emb"}}, "tok_emb"),
     ("eval", lambda ck: {**ck, "tensors": {**ck["tensors"], "blocks.0.wq": {
-        "shape": [16, 8], "data": [0.0] * 128}}}, "blocks.0.wq"),
+        "shape": [16, 8], "b64": _b64([0.0] * 128)}}}, "blocks.0.wq"),
     # checked against the file's shapes, never allocated: 10**9 x 16 doubles are 128 GB
     ("score", lambda ck: {**ck, "meta": {**ck["meta"], "config": {
         **ck["meta"]["config"], "max_seq_len": 10**9}}}, "pos_emb"),
+    ("score", lambda ck: {**ck, "tensors": {**ck["tensors"], "head_b": {
+        "shape": [1], "b64": "AAAAAA*AAAAA="}}}, "head_b"),
+    ("eval", lambda ck: {**ck, "format": "unifilter-tensors-v1"}, "'unifilter-tensors-v1'"),
 ], ids=["no-tensors", "no-config", "short-data", "unknown-config-key", "vocab-no-words",
-        "no-tok-emb", "wq-wrong-shape", "huge-max-seq-len"])
+        "no-tok-emb", "wq-wrong-shape", "huge-max-seq-len", "bad-base64", "v1-format"])
 def test_malformed_checkpoint_and_vocab_exit_3_naming_the_path(tmp_path, capsys, small_data,
                                                                subcommand, breaks, problem):
     path = tmp_path / "broken.json"

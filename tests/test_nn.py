@@ -403,6 +403,13 @@ def test_tensor_roundtrip_is_exact(tmp_path):
         assert back[name].tobytes() == tensors[name].tobytes()  # bitwise, sign of zero too
 
 
+def test_checkpoint_meta_round_trips_unchanged(tmp_path):
+    meta = {"note": {"shape": [2], "data": [1.5, 2.5]}, "b64": {"shape": [], "b64": ""}}
+    path = tmp_path / "ckpt.json"
+    save_tensors(path, {"w": np.ones(2)}, meta=meta)
+    assert load_tensors(path)[1] == meta
+
+
 def test_tensor_loader_refuses_unknown_format(tmp_path):
     path = tmp_path / "other.json"
     path.write_text('{"format": "something-else", "tensors": {}}')

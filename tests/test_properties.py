@@ -5,7 +5,9 @@ alone: ids repeat across splits, so a record under another id, or a copy
 read back from disk, must score bitwise equal to the original.  A
 forward-only pass, which keeps no activations, scores bitwise equal to the
 pass that keeps them for training.  Packing fills every sequence, keeps
-every non-pad id in order and never splits an image run.
+every non-pad id in order and never splits an image run.  A checkpoint
+gives back its tensors bit for bit, and saving what it loads rewrites it
+byte for byte.
 """
 
 import dataclasses
@@ -20,6 +22,7 @@ from hypothesis.extra.numpy import arrays
 from unifilter.classifier import ModelConfig, QualityModel, assemble, forward_score, init_params
 from unifilter.common import child_rng
 from unifilter.encoder import EncoderConfig
+from unifilter.nn import SAVE_FLOATS, load_tensors, save_tensors
 from unifilter.packing import (END_OF_CHUNK_ID, IMAGE_PLACEHOLDER_ID, PAD_ID, build_vocab,
                                flatten_doc, pack)
 from unifilter.records import (CaptionSample, DocItem, ImagePayload, InterleavedDoc,
@@ -113,3 +116,41 @@ def test_pack_fills_sequences_keeps_ids_in_order_and_never_splits_an_image(recs,
         assert runs == {i for i, tok in enumerate(s.tokens) if tok == IMAGE_PLACEHOLDER_ID}
         starts = {slot["pos"] for slot in s.slots}
         assert all(i + 1 in starts for i, tok in enumerate(s.tokens) if tok == END_OF_CHUNK_ID)
+
+
+# NaNs with payload and sign bits, a signalling NaN, +-inf, +-0.0, subnormals
+SPECIAL_BITS = [0x7FF8000000000000, 0xFFF8000000000001, 0x7FF4000000000000,
+                0x7FF0000000000001, 0x7FF0000000000000, 0xFFF0000000000000,
+                0x0000000000000000, 0x8000000000000000, 0x0000000000000001,
+                0x800FFFFFFFFFFFFF]
+sizes = st.integers(0, 7) | st.builds(lambda k, d: k * SAVE_FLOATS + d,
+                                      st.integers(1, 2), st.integers(-2, 2))
+shapes = st.just(()) | st.just((0, 3)) | sizes.map(lambda n: (n,)) | sizes.map(lambda n: (n, 2))
+
+
+@st.composite
+def tensors(draw):
+    """Random float64 bit patterns of a drawn shape, with special values set."""
+    shape = draw(shapes)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    bits = rng.integers(0, 2**64 - 1, size=shape, dtype=np.uint64, endpoint=True)
+    if bits.size:
+        where = st.integers(0, bits.size - 1)
+        for i, b in draw(st.lists(st.tuples(where, st.sampled_from(SPECIAL_BITS)), max_size=12)):
+            bits.reshape(-1)[i] = b
+    return bits.view(np.float64)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.dictionaries(ids, tensors(), max_size=3))
+def test_checkpoint_tensors_load_bitwise_and_resave_byte_identical(named):
+    with tempfile.TemporaryDirectory() as workdir:
+        first, second = Path(workdir) / "first.json", Path(workdir) / "second.json"
+        save_tensors(first, named, meta={"note": "property"})
+        back, meta = load_tensors(first)
+        save_tensors(second, back, meta)
+        assert first.read_bytes() == second.read_bytes()
+    assert list(back) == list(named)
+    for name, arr in named.items():
+        assert back[name].dtype == np.float64 and back[name].flags.writeable
+        assert back[name].shape == arr.shape and back[name].tobytes() == arr.tobytes()
