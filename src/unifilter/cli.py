@@ -143,7 +143,7 @@ def cmd_cluster(args):
         "n": len(ids),
         "n_iters": result.n_iters,
         "inertia": result.inertia_history[-1],
-        "assignments": result.clusters_by_id(ids),
+        "assignments": {rid: int(c) for rid, c in zip(ids, result.assignments)},
         "selected_ids": selected,
     })
     config = {"k": args.k, "per_cluster": args.per_cluster}

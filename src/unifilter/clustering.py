@@ -16,21 +16,28 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .common import DataError, check_counts, check_field, child_rng
+from .common import DataError, check_counts, check_field, child_rng, unit_vector
 from .encoder import EncoderConfig, patchify_embed
 from .records import ImagePayload, InterleavedDoc
 
 MAX_ITERS = 100  # Lloyd iteration cap
 
 
+def _unit_or_raise(vec: np.ndarray, what: str) -> np.ndarray:
+    unit = unit_vector(vec)
+    if unit is None:
+        raise DataError(f"{what} {'has a non-finite norm' if vec.any() else 'is all zeros'}; "
+                        f"cannot normalize")
+    return unit
+
+
 def image_embedding(payload: ImagePayload, cfg: EncoderConfig) -> np.ndarray:
-    """Mean patch vector, L2 normalized.  Errors on an all-zero embedding."""
-    grid = patchify_embed(payload, cfg)
-    vec = grid.vecs.reshape(-1, grid.vecs.shape[2]).mean(axis=0)
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0:
-        raise DataError("image embedding is all zeros; cannot normalize")
-    return vec / norm
+    """Mean patch vector, L2 normalized.  Errors on an all-zero or non-finite
+    embedding (huge finite pixels can overflow)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = patchify_embed(payload, cfg)
+        vec = grid.vecs.reshape(-1, grid.vecs.shape[2]).mean(axis=0)
+    return _unit_or_raise(vec, "image embedding")
 
 
 def stack_same_width(vecs: list[np.ndarray], what: str) -> np.ndarray:
@@ -49,10 +56,7 @@ def doc_embedding(doc: InterleavedDoc, cfg: EncoderConfig) -> np.ndarray:
         raise DataError(f"doc {doc.id!r} has no images to embed")
     vec = stack_same_width([image_embedding(img, cfg) for img in images],
                            f"doc {doc.id!r}").mean(axis=0)
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0:
-        raise DataError(f"doc {doc.id!r} embedding is all zeros; cannot normalize")
-    return vec / norm
+    return _unit_or_raise(vec, f"doc {doc.id!r} embedding")
 
 
 @dataclass
@@ -85,9 +89,6 @@ class KMeansResult:
     centroids: np.ndarray            # (k, d_e)
     inertia_history: list[float] = field(default_factory=list)
     n_iters: int = 0
-
-    def clusters_by_id(self, ids: list[str]) -> dict[str, int]:
-        return {rid: int(c) for rid, c in zip(ids, self.assignments)}
 
 
 def _sq_dists(x: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -128,9 +129,7 @@ def kmeans(matrix: EmbeddingMatrix, cfg: KMeansConfig) -> KMeansResult:
 
     assignments = np.full(n, -1, dtype=np.int64)
     history: list[float] = []
-    iters = 0
     for _ in range(MAX_ITERS):
-        iters += 1
         d2 = _sq_dists(x, centroids)
         new_assign = d2.argmin(axis=1)
         history.append(float(d2[np.arange(n), new_assign].sum()))
@@ -154,7 +153,7 @@ def kmeans(matrix: EmbeddingMatrix, cfg: KMeansConfig) -> KMeansResult:
                 taken.add(pick)
                 centroids[j] = x[pick]
     return KMeansResult(assignments=assignments, centroids=centroids,
-                        inertia_history=history, n_iters=iters)
+                        inertia_history=history, n_iters=len(history))
 
 
 @dataclass

@@ -61,6 +61,13 @@ def check_counts(cfg, *names: str) -> None:
         check_field(cfg, name, lambda v: isinstance(v, int) and v >= 1, "an integer >= 1")
 
 
+def unit_vector(vec: np.ndarray) -> np.ndarray | None:
+    """vec divided by its L2 norm; None when that norm is 0 or not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = float(np.linalg.norm(vec))
+    return vec / norm if norm != 0.0 and math.isfinite(norm) else None
+
+
 # --- seeding ---------------------------------------------------------------
 #
 # Child streams are derived from (seed, path components) through SeedSequence

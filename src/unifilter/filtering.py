@@ -19,7 +19,7 @@ from itertools import chain, islice
 import numpy as np
 
 from .classifier import TASK_GROUPS, _cost, _task_runner, balanced_groups
-from .common import DataError, check_counts, child_rng
+from .common import DataError, check_counts, child_rng, unit_vector
 from .encoder import EncoderConfig, patchify_embed
 from .packing import tokenize_words
 from .records import CaptionSample, ImagePayload, InterleavedDoc, ScoredRecord, as_document
@@ -153,10 +153,7 @@ def hashed_text_embedding(text: str):
         idx = int.from_bytes(h[:8], "big") % DFN_DIM
         sign = 1.0 if h[8] % 2 == 0 else -1.0
         vec[idx] += sign
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0:
-        return None
-    return vec / norm
+    return unit_vector(vec)
 
 
 @cache
@@ -166,14 +163,13 @@ def _dfn_projection(d_in: int) -> np.ndarray:
 
 def dfn_image_embedding(payload: ImagePayload):
     """Mean patch vector pushed through a fixed random projection into the
-    text embedding space, L2 normalized; None for a degenerate zero vector."""
-    grid = patchify_embed(payload, EncoderConfig())
-    mean_vec = grid.vecs.reshape(-1, grid.vecs.shape[2]).mean(axis=0)
-    vec = mean_vec @ _dfn_projection(mean_vec.shape[0])
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0:
-        return None
-    return vec / norm
+    text embedding space, L2 normalized; None for a zero or non-finite vector
+    (huge finite pixels can overflow)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = patchify_embed(payload, EncoderConfig())
+        mean_vec = grid.vecs.reshape(-1, grid.vecs.shape[2]).mean(axis=0)
+        vec = mean_vec @ _dfn_projection(mean_vec.shape[0])
+    return unit_vector(vec)
 
 
 def dfn_filter_doc(doc: CaptionSample | InterleavedDoc, text_embed_fn, image_embed_fn,

@@ -503,7 +503,8 @@ def save_tensors(path, tensors: Params, meta: dict | None = None) -> None:
 
 def load_tensors(path):
     """Returns (tensors, meta), each tensor a writable native float64 array
-    of its declared shape.  Refuses files with an unknown format header."""
+    of its declared shape.  Refuses files with an unknown format header, and
+    a shape that is not a list of integers >= 0 (a -1 is never inferred)."""
     obj = read_json_file(path)
     if obj.get("format") != TENSOR_FORMAT:
         raise DataError(f"{path}: unknown checkpoint format {obj.get('format')!r}")
@@ -513,8 +514,11 @@ def load_tensors(path):
     tensors = {}
     for name, spec in specs.items():
         try:
+            shape = spec["shape"]
+            if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
+                raise ValueError(f"shape {shape!r} is not a list of integers >= 0")
             raw = base64.b64decode(spec["b64"], validate=True)
-            tensors[name] = np.frombuffer(raw, "<f8").astype(np.float64).reshape(spec["shape"])
+            tensors[name] = np.frombuffer(raw, "<f8").astype(np.float64).reshape(shape)
         except (KeyError, TypeError, ValueError) as exc:   # binascii.Error is a ValueError
             raise DataError(f"{path}: tensor {name!r} needs a 'shape' and matching 'b64' "
                             f"({exc})") from None

@@ -213,6 +213,24 @@ def test_cluster_refuses_mixed_image_widths(tmp_path, capsys, records, where):
     assert not (tmp_path / "clusters.json").exists()
 
 
+@pytest.mark.filterwarnings("error")     # an overflow warning would be stray stderr output
+def test_cluster_refuses_an_image_whose_embedding_overflows(tmp_path, capfd):
+    """Finite pixels of 1e308 overflow the patch embedding: exit 3, one JSON error."""
+    rng = child_rng(0, "px")
+    corpus = tmp_path / "huge.jsonl"
+    write_records(corpus, [CaptionSample(id=f"c{i}", text="the fox", image=ImagePayload(
+        pixels=np.full((3, 8, 8), 1e308) if i == 0 else rng.uniform(size=(3, 8, 8))))
+        for i in range(4)])
+    capfd.readouterr()
+    rc = main(["cluster", "--embeddings-from", str(corpus), "--k", "2",
+               "--out", str(tmp_path / "clusters.json")])
+    err = capfd.readouterr().err
+    assert rc == 3 and len(err.splitlines()) == 1
+    assert json.loads(err) == {"error": "data", "message": "image embedding has a non-finite "
+                                                           "norm; cannot normalize"}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.jsonl"]
+
+
 def test_a_grid_not_d_v_wide_is_a_score_reject_and_an_eval_error(tmp_path, capsys):
     save_model(tmp_path / "model.json", _tiny_model())        # d_v 8
     corpus = tmp_path / "corpus.jsonl"
@@ -454,8 +472,12 @@ def _b64(values) -> str:
     ("score", lambda ck: {**ck, "tensors": {**ck["tensors"], "head_b": {
         "shape": [1], "b64": "AAAAAA*AAAAA="}}}, "head_b"),
     ("eval", lambda ck: {**ck, "format": "unifilter-tensors-v1"}, "'unifilter-tensors-v1'"),
+    # reshape would infer the -1 and the config's shape check would pass
+    ("score", lambda ck: {**ck, "tensors": {**ck["tensors"], "tok_emb": {
+        **ck["tensors"]["tok_emb"], "shape": [-1, 16]}}}, "tok_emb"),
 ], ids=["no-tensors", "no-config", "short-data", "unknown-config-key", "vocab-no-words",
-        "no-tok-emb", "wq-wrong-shape", "huge-max-seq-len", "bad-base64", "v1-format"])
+        "no-tok-emb", "wq-wrong-shape", "huge-max-seq-len", "bad-base64", "v1-format",
+        "negative-shape"])
 def test_malformed_checkpoint_and_vocab_exit_3_naming_the_path(tmp_path, capsys, small_data,
                                                                subcommand, breaks, problem):
     path = tmp_path / "broken.json"
@@ -829,6 +851,27 @@ def test_blas_thread_policy_in_a_fresh_interpreter(tmp_path):
         manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text())
         assert manifest["blas_threads"] == expected, name
         assert manifest["config"]["workers"] == len(os.sched_getaffinity(0))
+
+
+def test_the_package_root_loads_only_the_thread_policy():
+    """import unifilter loads no numpy and no submodule yet sets one BLAS
+    thread; import unifilter.nn loads nn and common, not the pipeline."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    src = str(Path(unifilter.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = ("import json, os, sys; mods = lambda: sorted("
+             "m for m in sys.modules if m.split('.')[0] in ('numpy', 'unifilter')); "
+             "import unifilter; root = mods(); import unifilter.nn; "
+             "print(json.dumps([root, os.environ['OPENBLAS_NUM_THREADS'], unifilter.BLAS_THREADS, "
+             "mods()]))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True, timeout=120,
+                         capture_output=True, text=True).stdout
+    root, env_value, blas_threads, with_nn = json.loads(out)
+    assert root == ["unifilter"]
+    assert env_value == blas_threads == "1"
+    assert "unifilter.nn" in with_nn
+    assert not {"unifilter.synthgen", "unifilter.clustering", "unifilter.filtering",
+                "unifilter.cli"} & set(with_nn)
 
 
 def test_the_cli_runs_without_scipy(tmp_path):

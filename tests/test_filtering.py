@@ -13,6 +13,7 @@ from unifilter.filtering import (
     corpus_stats,
     dfn_filter_corpus,
     dfn_filter_doc,
+    dfn_image_embedding,
     hashed_text_embedding,
     score_corpus,
     select_top_fraction,
@@ -267,6 +268,18 @@ def test_dfn_threshold_minus_one_is_identity():
     assert not rejects
     assert [d.id for d in kept] == [d.id for d in corpus]
     assert all(len(a.items) == len(b.items) for a, b in zip(kept, corpus))
+
+
+@pytest.mark.filterwarnings("error")
+def test_dfn_image_embedding_is_none_when_finite_pixels_overflow():
+    huge = ImagePayload(pixels=np.full((3, 8, 8), 1e308))
+    assert dfn_image_embedding(huge) is None
+    doc = InterleavedDoc(id="d", items=[DocItem(kind="text", text="the fox"),
+                                        DocItem(kind="image", image=huge)])
+    # without an embedding the image scores -1: only threshold -1 keeps it
+    assert dfn_filter_corpus([doc], threshold=-1.0)[0] == [doc]
+    assert dfn_filter_corpus([doc], threshold=-0.5) == (
+        [], [{"id": "d", "error": "no image met the similarity threshold"}])
 
 
 def test_dfn_never_removes_text_never_adds_images():
