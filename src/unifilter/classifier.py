@@ -26,9 +26,7 @@ from __future__ import annotations
 
 import math
 import mmap
-import multiprocessing
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -41,6 +39,7 @@ from .nn import (AdamConfig, Params, adam_init, adam_step, layer_norm, layer_nor
 from .packing import Vocab, build_vocab, tokenize, tokenize_words
 from .metrics import evaluate, quantize_score
 from .records import LabeledSample, as_document
+from .runner import TASK_GROUPS, balanced_groups, in_order, task_runner
 
 CHECKPOINT_KIND = "quality-model"
 
@@ -161,12 +160,15 @@ def assemble(record, cfg: ModelConfig, vocab: Vocab, params: Params) -> Assemble
     pos = 0
     for item, ids in zip(items, item_ids):
         if ids is None:
-            grid = patchify_embed(item.image, cfg.encoder)
-            if grid.vecs.shape[2] != cfg.encoder.d_v:
-                raise DataError(f"precomputed patch grid has dim {grid.vecs.shape[2]}, "
-                                f"encoder expects {cfg.encoder.d_v}")
-            pooled = adaptive_avg_pool_2d(grid, cfg.encoder.t)
-            img_emb, proj_cache = project(pooled, params)
+            # huge finite pixels can overflow: the score is then not finite, and
+            # score rejects the record, so numpy need not warn
+            with np.errstate(over="ignore", invalid="ignore"):
+                grid = patchify_embed(item.image, cfg.encoder)
+                if grid.vecs.shape[2] != cfg.encoder.d_v:
+                    raise DataError(f"precomputed patch grid has dim {grid.vecs.shape[2]}, "
+                                    f"encoder expects {cfg.encoder.d_v}")
+                pooled = adaptive_avg_pool_2d(grid, cfg.encoder.t)
+                img_emb, proj_cache = project(pooled, params)
             chunks.append(img_emb)
             image_blocks.append((pos, proj_cache))
             pos += t2
@@ -303,9 +305,6 @@ def load_model(path) -> QualityModel:
 
 # --- training ----------------------------------------------------------------------
 
-# Processes of _task_runner, this one and one forked worker: train and
-# filtering.score_corpus split each batch into this many groups.
-TASK_GROUPS = 2
 # A batch loss over this many times the first batch's is divergence.  The first
 # loss counts as at least 1, so a near-perfect first batch (one label-0 sample,
 # say) cannot make an ordinary loss look divergent.
@@ -322,7 +321,7 @@ def validation_accuracy(model: QualityModel, samples: list[LabeledSample]):
     return _accuracy(samples, [model.score_record(s) for s in samples])
 
 
-def _cost(sample, cfg: ModelConfig) -> int:
+def sample_cost(sample, cfg: ModelConfig) -> int:
     """Estimated forward and backward cost, (n + 2d)^2 for the n positions
     assemble gives the sample: its words plus t*t per image, capped at
     max_seq_len.  The 4d^2 term stands for the fixed per-sample cost, which
@@ -335,20 +334,6 @@ def _cost(sample, cfg: ModelConfig) -> int:
     return (n + 2 * cfg.d) ** 2
 
 
-def balanced_groups(costs: list[int], n_groups: int) -> list[list[int]]:
-    """Positions 0..len(costs)-1 in n_groups of near-equal total cost.
-
-    Costliest first, each to the lightest group (the lowest index on a tie),
-    so the split depends on the costs alone.  Each group is in ascending order.
-    """
-    loads, groups = [0] * n_groups, [[] for _ in range(n_groups)]
-    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
-        g = loads.index(min(loads))
-        groups[g].append(i)
-        loads[g] += costs[i]
-    return [sorted(group) for group in groups]
-
-
 def _views(flat: np.ndarray, like: Params) -> Params:
     """like's names and shapes as consecutive views into flat."""
     out, offset = {}, 0
@@ -356,75 +341,6 @@ def _views(flat: np.ndarray, like: Params) -> Params:
         out[name] = flat[offset:offset + arr.size].reshape(arr.shape)
         offset += arr.size
     return out
-
-
-def _serve(conn, parent_end, run_task):
-    """The worker's loop: run each task received and send back (True,
-    result) or (False, the exception).  Returns at end of file, when the
-    parent's end of the pipe closes, so the worker never outlives its parent,
-    and when the parent stopped listening after an error of its own."""
-    parent_end.close()          # an inherited copy would keep the pipe open
-    while True:
-        try:
-            task = conn.recv()
-        except EOFError:
-            return
-        try:
-            reply = (True, run_task(task))
-        except Exception as exc:    # re-raised in the parent with its own type
-            reply = (False, exc)
-        try:
-            conn.send(reply)
-        except (BrokenPipeError, ConnectionResetError):
-            return
-
-
-@contextmanager
-def _task_runner(run_task, fork: bool):
-    """Yields run_pair([first, second]) -> [run_task(first), run_task(second)].
-
-    With fork, a worker forked here, once, runs `second` while this process
-    runs `first`; the worker shares whatever this process mapped shared
-    before the fork.  An exception raised in the worker is raised again
-    here with its own type, and a dead worker as an OSError naming its exit
-    code or signal; the worker is joined on the way out, after its pipe
-    closes.  Without fork, this process runs both in turn.
-    """
-    if not fork:
-        yield lambda tasks: [run_task(task) for task in tasks]
-        return
-    ctx = multiprocessing.get_context("fork")
-    conn, child_end = ctx.Pipe()
-    proc = ctx.Process(target=_serve, args=(child_end, conn, run_task), daemon=True)
-    proc.start()
-    child_end.close()
-
-    def worker_died() -> OSError:
-        proc.join()
-        code = proc.exitcode
-        how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
-        return OSError(f"the forked worker process died ({how})")
-
-    def run_pair(tasks: list) -> list:
-        first, second = tasks
-        try:
-            conn.send(second)
-        except BrokenPipeError:
-            raise worker_died() from None
-        result = run_task(first)
-        try:
-            ok, value = conn.recv()
-        except EOFError:
-            raise worker_died() from None
-        if not ok:
-            raise value
-        return [result, value]
-
-    try:
-        yield run_pair
-    finally:
-        conn.close()
-        proc.join()
 
 
 def train(train_samples: list[LabeledSample], val_samples: list[LabeledSample],
@@ -438,11 +354,11 @@ def train(train_samples: list[LabeledSample], val_samples: list[LabeledSample],
     Each batch splits into TASK_GROUPS groups of balanced cost; each group
     adds its samples' gradients, in batch order, into its own slot, and the
     second slot is added into the first, which the Adam step reads.
-    Parameters, slots and validation scores live in one shared mapping, so
-    with two usable CPUs a forked worker runs the second group, and the
-    bytes do not depend on the process count.  A batch loss over
-    DIVERGED_LOSS_FACTOR times the first batch's (or 1, if more) raises
-    NumericError.
+    Parameters and slots live in one shared mapping, so with two usable CPUs
+    a forked worker (runner.task_runner) runs the second group, validation
+    scores come back over its pipe, and the bytes do not depend on the
+    process count.  A batch loss over DIVERGED_LOSS_FACTOR times the first
+    batch's (or 1, if more) raises NumericError.
     """
     if not train_samples or not val_samples:
         raise DataError("need non-empty train and validation splits")
@@ -451,15 +367,12 @@ def train(train_samples: list[LabeledSample], val_samples: list[LabeledSample],
     rng = child_rng(seed, "train-init")
     init = init_params(cfg, len(vocab), rng)
     size = sum(arr.size for arr in init.values())
-    n_val = len(val_samples)
-    shared = np.frombuffer(mmap.mmap(-1, 8 * ((1 + TASK_GROUPS) * size + n_val)),
-                           dtype=np.float64)
+    shared = np.frombuffer(mmap.mmap(-1, 8 * (1 + TASK_GROUPS) * size), dtype=np.float64)
     params = _views(shared[:size], init)
     for name, arr in init.items():
         params[name][...] = arr
-    slots = shared[size:-n_val].reshape(TASK_GROUPS, size)
+    slots = shared[size:].reshape(TASK_GROUPS, size)
     slot_grads = [_views(slot, init) for slot in slots]
-    val_scores = shared[-n_val:]
 
     n = len(train_samples)
     steps_per_epoch = math.ceil(n / tcfg.batch_size)
@@ -467,18 +380,15 @@ def train(train_samples: list[LabeledSample], val_samples: list[LabeledSample],
     state = adam_init(params, acfg)
 
     model = QualityModel(config=cfg, vocab=vocab, params=params)
-    costs = [_cost(s, cfg) for s in train_samples]
-    val_tasks = [("val", group) for group in
-                 balanced_groups([_cost(s, cfg) for s in val_samples], TASK_GROUPS)]
+    costs = [sample_cost(s, cfg) for s in train_samples]
+    val_groups = balanced_groups([sample_cost(s, cfg) for s in val_samples], TASK_GROUPS)
 
     def run_task(task):
-        """("val", indices) fills val_scores at those indices.  ("grad", g,
+        """("val", indices) returns those samples' scores.  ("grad", g,
         indices, batch size) fills slot g with the group's gradients and
         returns its summed loss."""
         if task[0] == "val":
-            for i in task[1]:
-                val_scores[i] = model.score_record(val_samples[i])
-            return 0.0
+            return [model.score_record(val_samples[i]) for i in task[1]]
         _, g, members, batch_len = task
         slots[g].fill(0.0)
         group_loss = 0.0
@@ -495,7 +405,7 @@ def train(train_samples: list[LabeledSample], val_samples: list[LabeledSample],
     best_acc = -1.0
     first_loss = None
     history = []
-    with _task_runner(run_task, fork=len(os.sched_getaffinity(0)) > 1) as run_pair:
+    with task_runner(run_task, fork=len(os.sched_getaffinity(0)) > 1) as run_pair:
         for epoch in range(tcfg.epochs):
             order = child_rng(seed, "shuffle", epoch).permutation(n)
             epoch_loss = 0.0
@@ -518,7 +428,7 @@ def train(train_samples: list[LabeledSample], val_samples: list[LabeledSample],
                                        f"{batch_loss:.3g} exceeds {limit:.3g}")
                 lr = adam_step(params, slot_grads[0], state)
                 epoch_loss += batch_loss
-            run_pair(val_tasks)
+            val_scores = in_order(val_groups, run_pair([("val", group) for group in val_groups]))
             val_acc, val_f1 = _accuracy(val_samples, val_scores)
             history.append({
                 "epoch": epoch,

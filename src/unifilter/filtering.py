@@ -14,15 +14,16 @@ import math
 import time
 from dataclasses import asdict, dataclass
 from functools import cache
-from itertools import chain, islice
+from itertools import islice
 
 import numpy as np
 
-from .classifier import TASK_GROUPS, _cost, _task_runner, balanced_groups
+from .classifier import sample_cost
 from .common import DataError, check_counts, child_rng, unit_vector
 from .encoder import EncoderConfig, patchify_embed
 from .packing import tokenize_words
 from .records import CaptionSample, ImagePayload, InterleavedDoc, ScoredRecord, as_document
+from .runner import TASK_GROUPS, balanced_groups, in_order, task_runner
 
 
 @dataclass
@@ -44,9 +45,9 @@ def score_corpus(records, model, cfg: FilterConfig | None = None,
     length, say) or whose score is not finite become reject entries instead
     of aborting the run.  A duplicate record id is a DataError, raised
     before the batch it arrives in is scored.  With cfg.workers > 1 one
-    worker is forked before the first batch (train's task runner), and each
-    batch splits record by record into TASK_GROUPS groups of balanced
-    _cost(doc, model.config), as train splits a batch of samples; the
+    worker is forked before the first batch (runner.task_runner, as in
+    train), and each batch splits record by record into TASK_GROUPS groups
+    of balanced sample_cost(doc, model.config), as train splits a batch; the
     worker scores the second group, which it receives and returns over the
     runner's pipe.  Each record is forwarded on its own, so scores are
     bitwise independent of batch size and worker count.
@@ -66,17 +67,16 @@ def score_corpus(records, model, cfg: FilterConfig | None = None,
     seen: set[str] = set()
     scored, rejects = [], []
     records = iter(records)
-    with _task_runner(lambda docs: [score_one(doc) for doc in docs], fork=fork) as run_pair:
+    with task_runner(lambda docs: [score_one(doc) for doc in docs], fork=fork) as run_pair:
         while batch := [as_document(rec) for rec in islice(records, cfg.batch_size)]:
             for doc in batch:
                 if doc.id in seen:
                     raise DataError(f"duplicate record id {doc.id!r}")
                 seen.add(doc.id)
-            groups = (balanced_groups([_cost(doc, model.config) for doc in batch], TASK_GROUPS)
-                      if fork else [range(len(batch))])
+            groups = (balanced_groups([sample_cost(doc, model.config) for doc in batch],
+                                      TASK_GROUPS) if fork else [range(len(batch))])
             results = run_pair([[batch[i] for i in group] for group in groups])
-            # back in record order; the indices differ, so no two results are compared
-            for _, (rec, rej) in sorted(zip(chain(*groups), chain(*results))):
+            for rec, rej in in_order(groups, results):
                 if rej is None:
                     scored.append(rec)
                 else:

@@ -18,7 +18,6 @@ from unifilter.classifier import (
     TrainConfig,
     assemble,
     backward_score,
-    balanced_groups,
     forward_score,
     init_params,
     load_model,
@@ -37,6 +36,7 @@ from unifilter.records import (
     InterleavedDoc,
     LabeledSample,
 )
+from unifilter.runner import balanced_groups
 from unifilter.synthgen import make_mock_benchmark
 
 TINY = ModelConfig(d=8, n_layers=1, n_heads=2, max_seq_len=32,

@@ -13,13 +13,13 @@ import numpy as np
 import pytest
 
 import unifilter
-from unifilter.classifier import (TASK_GROUPS, ModelConfig, QualityModel, _cost, balanced_groups,
-                                  init_params, save_model)
+from unifilter.classifier import ModelConfig, QualityModel, init_params, sample_cost, save_model
 from unifilter.cli import main
 from unifilter.common import DataError, child_rng, read_json_file
 from unifilter.packing import Vocab
 from unifilter.records import (CaptionSample, DocItem, ImagePayload, InterleavedDoc, LabeledSample,
                                ScoredRecord, write_records)
+from unifilter.runner import TASK_GROUPS, balanced_groups
 
 TINY_CFG = {
     "encoder": {"patch_size": 4, "d_v": 8, "t": 4, "d": 16, "seed": 0},
@@ -447,6 +447,42 @@ def test_out_of_range_inputs_exit_cleanly_without_output(tmp_path, capsys, small
             assert str(missing) in obj["message"]
 
 
+def test_a_failed_rename_names_the_users_path_and_leaves_no_temporary(tmp_path, capsys,
+                                                                      small_data):
+    run = tmp_path / "run"
+    (run / "vocab.json").mkdir(parents=True)
+    capsys.readouterr()
+    rc = main(["train", "--train", str(small_data / "train.jsonl"),
+               "--val", str(small_data / "val.jsonl"), "--epochs", "1",
+               "--config", _write_cfg(tmp_path), "--out-checkpoint", str(run / "model.json")])
+    assert rc == 3
+    obj = json.loads(capsys.readouterr().err)
+    assert obj["error"] == "data" and repr(str(run / "vocab.json")) in obj["message"]
+    assert ".tmp" not in obj["message"]
+    assert not list(run.rglob("*.tmp"))
+
+
+def test_score_rejects_overflowing_pixels_without_numpy_warnings(tmp_path):
+    """Finite pixels whose patch embedding overflows give a non-finite
+    score: one reject, exit 0 and nothing on stderr."""
+    ckpt = tmp_path / "model.json"
+    save_model(ckpt, _tiny_model())
+    corpus = tmp_path / "huge.jsonl"
+    write_records(corpus, [CaptionSample(id="huge", image=ImagePayload(
+        pixels=np.full((1, 16, 16), 1e308)), text="fox")])
+    env = dict(os.environ)
+    src = str(Path(unifilter.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    cli = "import sys; from unifilter.cli import main; sys.exit(main(sys.argv[1:]))"
+    done = subprocess.run([sys.executable, "-c", cli, "score", "--checkpoint", str(ckpt),
+                           "--in", str(corpus), "--out", str(tmp_path / "scores.jsonl")],
+                          env=env, timeout=120, capture_output=True, text=True)
+    assert done.returncode == 0 and done.stderr == ""
+    assert (tmp_path / "scores.jsonl").read_text() == ""
+    rejects = (tmp_path / "scores.rejects.jsonl").read_text().splitlines()
+    assert [json.loads(line) for line in rejects] == [{"id": "huge", "error": "non-finite score"}]
+
+
 def _b64(values) -> str:
     return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
 
@@ -744,7 +780,7 @@ def test_score_rejects_from_both_processes_match_one_process(tmp_path, capfd):
             records.insert(slot, InterleavedDoc(id=rid, items=items))
         else:                           # a 2 x 2 patch grid cannot pool to 4 x 4
             records.insert(slot, CaptionSample(id=rid, image=image(side=8), text="fox"))
-    groups = balanced_groups([_cost(r, model.config) for r in records], TASK_GROUPS)
+    groups = balanced_groups([sample_cost(r, model.config) for r in records], TASK_GROUPS)
     for group in groups:        # one of each kind in each process's group
         assert sorted(records[i].id[:-1] for i in group if records[i].id[0] != "c") \
             == ["long", "small"]
@@ -795,7 +831,7 @@ def test_score_bytes_do_not_depend_on_the_batch_size(tmp_path, capfd):
             records.insert(slot, CaptionSample(id=rid, image=image(side=8), text="fox"))
     first = records[:5]
     assert "long1" in [r.id for r in records[len(first):]]
-    groups = balanced_groups([_cost(r, model.config) for r in first], TASK_GROUPS)
+    groups = balanced_groups([sample_cost(r, model.config) for r in first], TASK_GROUPS)
     assert [sorted(first[i].id for i in group if first[i].id[0] != "c") for group in groups] \
         in ([["long0"], ["small0"]], [["small0"], ["long0"]])
     write_records(tmp_path / "corpus.jsonl", records)

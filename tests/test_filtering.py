@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from unifilter.classifier import (TASK_GROUPS, ModelConfig, QualityModel, _cost, balanced_groups,
-                                  init_params)
+from unifilter.classifier import ModelConfig, QualityModel, init_params, sample_cost
 from unifilter.common import DataError, child_rng
 from unifilter.encoder import EncoderConfig
 from unifilter.filtering import (
@@ -27,6 +26,7 @@ from unifilter.records import (
     InterleavedDoc,
     ScoredRecord,
 )
+from unifilter.runner import TASK_GROUPS, balanced_groups
 
 
 def _scores(values, prefix="r"):
@@ -431,7 +431,7 @@ def test_score_corpus_estimates_costs_only_when_it_forks(monkeypatch):
     from unifilter import filtering
 
     calls = []
-    monkeypatch.setattr(filtering, "_cost", lambda doc, cfg: calls.append(doc.id) or 1)
+    monkeypatch.setattr(filtering, "sample_cost", lambda doc, cfg: calls.append(doc.id) or 1)
     img = ImagePayload(pixels=np.zeros((1, 2, 2)))
     records = [CaptionSample(id=f"s{i}", image=img, text="t") for i in range(7)]
     one = score_corpus(records, _StubModel(), FilterConfig(batch_size=2, workers=1))
@@ -459,7 +459,7 @@ def test_score_corpus_rejects_from_both_processes():
             records.insert(slot, InterleavedDoc(id=rid, items=items))
         else:                           # a 2 x 2 patch grid cannot pool to 4 x 4
             records.insert(slot, CaptionSample(id=rid, image=image(side=8), text="fox"))
-    groups = balanced_groups([_cost(r, model.config) for r in records], TASK_GROUPS)
+    groups = balanced_groups([sample_cost(r, model.config) for r in records], TASK_GROUPS)
     for group in groups:        # one of each kind in each process's group
         assert sorted(records[i].id[:-1] for i in group if records[i].id[0] != "c") \
             == ["long", "small"]

@@ -7,7 +7,8 @@ forward-only pass, which keeps no activations, scores bitwise equal to the
 pass that keeps them for training.  Packing fills every sequence, keeps
 every non-pad id in order and never splits an image run.  A checkpoint
 gives back its tensors bit for bit, and saving what it loads rewrites it
-byte for byte.
+byte for byte.  balanced_groups places every position once, in near-equal
+loads, and select_top_fraction keeps the ceiling share that a sort picks.
 """
 
 import dataclasses
@@ -22,11 +23,13 @@ from hypothesis.extra.numpy import arrays
 from unifilter.classifier import ModelConfig, QualityModel, assemble, forward_score, init_params
 from unifilter.common import child_rng
 from unifilter.encoder import EncoderConfig
+from unifilter.filtering import select_top_fraction
 from unifilter.nn import SAVE_FLOATS, load_tensors, save_tensors
 from unifilter.packing import (END_OF_CHUNK_ID, IMAGE_PLACEHOLDER_ID, PAD_ID, build_vocab,
                                flatten_doc, pack)
 from unifilter.records import (CaptionSample, DocItem, ImagePayload, InterleavedDoc,
-                               as_document, read_records, write_records)
+                               ScoredRecord, as_document, read_records, write_records)
+from unifilter.runner import balanced_groups
 
 CFG = ModelConfig(d=8, n_layers=1, n_heads=2, max_seq_len=48,
                   encoder=EncoderConfig(patch_size=2, d_v=4, t=2, d=8, seed=0))
@@ -154,3 +157,33 @@ def test_checkpoint_tensors_load_bitwise_and_resave_byte_identical(named):
     for name, arr in named.items():
         assert back[name].dtype == np.float64 and back[name].flags.writeable
         assert back[name].shape == arr.shape and back[name].tobytes() == arr.tobytes()
+
+
+@SETTINGS
+@given(st.lists(st.integers(0, 10**6), max_size=40), st.integers(1, 4))
+def test_balanced_groups_place_every_position_once_in_near_equal_loads(costs, n_groups):
+    groups = balanced_groups(costs, n_groups)
+    assert len(groups) == n_groups
+    assert sorted(i for group in groups for i in group) == list(range(len(costs)))
+    assert all(group == sorted(group) for group in groups)
+    loads = [sum(costs[i] for i in group) for group in groups]
+    assert max(loads) - min(loads) <= max(costs, default=0)
+
+
+@SETTINGS
+@given(st.lists(st.tuples(ids, st.integers(-2, 2)), min_size=1, max_size=30,
+                unique_by=lambda pair: pair[0]),
+       st.integers(1, 40).flatmap(lambda d: st.tuples(st.integers(1, d), st.just(d))))
+def test_select_top_fraction_keeps_what_a_sort_keeps_in_corpus_order(pairs, ratio):
+    """Few distinct scores force ties.  The fraction is k/d, so ceil(k*N/d)
+    is exact in integers and never a float product within fuzz of a whole."""
+    k, d = ratio
+    image = ImagePayload(pixels=np.zeros((1, 4, 4)))
+    recs = [CaptionSample(id=rid, image=image, text="fox") for rid, _ in pairs]
+    scores = [ScoredRecord(id=rid, score=float(score), modality="caption")
+              for rid, score in reversed(pairs)]
+    kept = select_top_fraction(scores, recs, k / d)
+    m = -(-k * len(pairs) // d)
+    keep = {rid for rid, _ in sorted(pairs, key=lambda pair: (-pair[1], pair[0]))[:m]}
+    assert len(kept) == m
+    assert [r.id for r in kept] == [rid for rid, _ in pairs if rid in keep]
