@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import mmap
-import os
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -39,7 +38,7 @@ from .nn import (AdamConfig, Params, adam_init, adam_step, layer_norm, layer_nor
 from .packing import Vocab, build_vocab, tokenize, tokenize_words
 from .metrics import evaluate, quantize_score
 from .records import LabeledSample, as_document
-from .runner import TASK_GROUPS, balanced_groups, in_order, task_runner
+from .runner import MAP_CHUNK, TASK_GROUPS, balanced_groups, fork_by_default, task_runner
 
 CHECKPOINT_KIND = "quality-model"
 
@@ -355,9 +354,10 @@ def train(train_samples: list[LabeledSample], val_samples: list[LabeledSample],
     adds its samples' gradients, in batch order, into its own slot, and the
     second slot is added into the first, which the Adam step reads.
     Parameters and slots live in one shared mapping, so with two usable CPUs
-    a forked worker (runner.task_runner) runs the second group, validation
-    scores come back over its pipe, and the bytes do not depend on the
-    process count.  A batch loss over DIVERGED_LOSS_FACTOR times the first
+    the groups of a batch, and the validation samples one by one, go
+    through the map of one forked worker (runner.task_runner); validation
+    scores come back over its pipe, and the bytes do not depend on which
+    process ran a task.  A batch loss over DIVERGED_LOSS_FACTOR times the first
     batch's (or 1, if more) raises NumericError.
     """
     if not train_samples or not val_samples:
@@ -381,14 +381,13 @@ def train(train_samples: list[LabeledSample], val_samples: list[LabeledSample],
 
     model = QualityModel(config=cfg, vocab=vocab, params=params)
     costs = [sample_cost(s, cfg) for s in train_samples]
-    val_groups = balanced_groups([sample_cost(s, cfg) for s in val_samples], TASK_GROUPS)
 
     def run_task(task):
-        """("val", indices) returns those samples' scores.  ("grad", g,
+        """("val", i) returns validation sample i's score.  ("grad", g,
         indices, batch size) fills slot g with the group's gradients and
         returns its summed loss."""
         if task[0] == "val":
-            return [model.score_record(val_samples[i]) for i in task[1]]
+            return model.score_record(val_samples[task[1]])
         _, g, members, batch_len = task
         slots[g].fill(0.0)
         group_loss = 0.0
@@ -405,7 +404,7 @@ def train(train_samples: list[LabeledSample], val_samples: list[LabeledSample],
     best_acc = -1.0
     first_loss = None
     history = []
-    with task_runner(run_task, fork=len(os.sched_getaffinity(0)) > 1) as run_pair:
+    with task_runner(run_task, fork=fork_by_default()) as run_map:
         for epoch in range(tcfg.epochs):
             order = child_rng(seed, "shuffle", epoch).permutation(n)
             epoch_loss = 0.0
@@ -413,8 +412,8 @@ def train(train_samples: list[LabeledSample], val_samples: list[LabeledSample],
             for b0 in range(0, n, tcfg.batch_size):
                 batch = [int(i) for i in order[b0:b0 + tcfg.batch_size]]
                 groups = balanced_groups([costs[i] for i in batch], TASK_GROUPS)
-                losses = run_pair([("grad", g, [batch[p] for p in group], len(batch))
-                                   for g, group in enumerate(groups)])
+                losses = list(run_map([("grad", g, [batch[p] for p in group], len(batch))
+                                       for g, group in enumerate(groups)], chunk=1))
                 slots[0] += slots[1]
                 batch_loss = sum(losses) / len(batch)
                 step = f"epoch {epoch} step {b0 // tcfg.batch_size}"
@@ -428,7 +427,7 @@ def train(train_samples: list[LabeledSample], val_samples: list[LabeledSample],
                                        f"{batch_loss:.3g} exceeds {limit:.3g}")
                 lr = adam_step(params, slot_grads[0], state)
                 epoch_loss += batch_loss
-            val_scores = in_order(val_groups, run_pair([("val", group) for group in val_groups]))
+            val_scores = list(run_map([("val", i) for i in range(len(val_samples))], MAP_CHUNK))
             val_acc, val_f1 = _accuracy(val_samples, val_scores)
             history.append({
                 "epoch": epoch,

@@ -15,7 +15,9 @@ import json
 import os
 import sys
 import time
+from contextlib import closing
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 
 from . import BLAS_THREADS, clustering, filtering, metrics, synthgen
@@ -25,7 +27,7 @@ from .common import (DataError, NumericError, __version__, atomic_write, check_c
 from .encoder import EncoderConfig
 from .filtering import FilterConfig
 from .packing import Vocab, pack, write_packed
-from .records import as_document, read_records, write_records
+from .records import as_document, encode_record, read_records, write_records
 
 
 @dataclass
@@ -50,16 +52,18 @@ def _manifest_path(primary_out) -> Path:
     return out.with_name(out.name + ".manifest.json")
 
 
-def _stream(path, kind: str):
-    """read_records(path, kind), with a missing file a DataError naming it."""
+def _stream(path, kind: str, *mapped):
+    """read_records(path, kind, *mapped), with a missing file a DataError
+    naming it.  mapped is (fn[, chunk[, fork]]): fn runs on each record in
+    the process that decodes it (records.read_records)."""
     try:
-        yield from read_records(path, kind)
+        yield from read_records(path, kind, *mapped)
     except FileNotFoundError:
         raise DataError(f"missing input file: {path}") from None
 
 
-def _read_all(path, kind: str) -> list:
-    return list(_stream(path, kind))
+def _read_all(path, kind: str, *mapped) -> list:
+    return list(_stream(path, kind, *mapped))
 
 
 def _seed(text: str) -> int:
@@ -121,19 +125,20 @@ def cmd_gen(args):
 def cmd_cluster(args):
     kcfg = clustering.KMeansConfig(k=args.k, seed=args.seed)
     scfg = clustering.SampleConfig(per_cluster=args.per_cluster, seed=args.seed)
-    records = _read_all(args.embeddings_from, "auto")
-    if not records:
-        raise DataError(f"{args.embeddings_from}: no records to cluster")
     enc_cfg = EncoderConfig()
-    ids, vecs = [], []
-    for rec in map(as_document, records):
-        ids.append(rec.id)
+
+    def embed(rec):
+        rec = as_document(rec)
         if rec.modality == "caption":   # doc_embedding would normalise the vector again
-            vecs.append(clustering.image_embedding(rec.image, enc_cfg))
-        else:
-            vecs.append(clustering.doc_embedding(rec, enc_cfg))
-    matrix = clustering.EmbeddingMatrix(
-        ids=ids, vecs=clustering.stack_same_width(vecs, f"{args.embeddings_from}: corpus"))
+            return rec.id, clustering.image_embedding(rec.image, enc_cfg)
+        return rec.id, clustering.doc_embedding(rec, enc_cfg)
+
+    pairs = _read_all(args.embeddings_from, "auto", embed)
+    if not pairs:
+        raise DataError(f"{args.embeddings_from}: no records to cluster")
+    ids = [rid for rid, _ in pairs]
+    matrix = clustering.EmbeddingMatrix(ids=ids, vecs=clustering.stack_same_width(
+        [vec for _, vec in pairs], f"{args.embeddings_from}: corpus"))
     result = clustering.kmeans(matrix, kcfg)
     selected = clustering.sample_per_cluster(ids, result.assignments, scfg)
 
@@ -195,8 +200,9 @@ def cmd_eval(args):
 def cmd_score(args):
     model = load_model(args.checkpoint)
     fcfg = FilterConfig(batch_size=args.batch_size, workers=args.workers)
-    # streamed: score_corpus holds one batch of the corpus at a time
-    scored, rejects = filtering.score_corpus(_stream(getattr(args, "in"), "auto"), model, fcfg)
+    # each line is decoded where it is scored; no decoded record is held
+    scored, rejects = filtering.score_corpus(partial(_stream, getattr(args, "in"), "auto"),
+                                             model, fcfg)
     write_records(args.out, scored)
     rejects_path = _sidecar_rejects(args.out)
     _write_rejects(rejects_path, rejects)
@@ -221,8 +227,15 @@ def _write_rejects(path, rejects: list[dict]):
 
 def cmd_filter(args):
     scores = _read_all(args.scores, "scored")
-    records = _read_all(getattr(args, "in"), "auto")
-    kept = filtering.select_top_fraction(scores, records, args.fraction)
+    keep = filtering.top_fraction_ids(scores, args.fraction)
+
+    def kept_line(rec):
+        rid = as_document(rec).id
+        return encode_record(rec) if rid in keep else None, rid
+
+    with closing(_stream(getattr(args, "in"), "auto", kept_line)) as lines:
+        kept = [line for line, _ in filtering.one_score_each(lines, {s.id for s in scores})
+                if line is not None]
     write_records(args.out, kept)
     threshold = filtering.threshold_for_fraction(scores, args.fraction) if scores else None
     config = {"fraction": args.fraction, "score_threshold": threshold}
@@ -232,11 +245,19 @@ def cmd_filter(args):
 
 def cmd_dfn_filter(args):
     check_field(args, "threshold", lambda v: True, "a finite number")
-    records = [as_document(r) for r in _read_all(getattr(args, "in"), "auto")]
-    kept, rejects = filtering.dfn_filter_corpus(records, threshold=args.threshold)
-    write_records(args.out, kept)
+    filter_doc = partial(filtering.dfn_filter_doc, text_embed_fn=filtering.hashed_text_embedding,
+                         image_embed_fn=filtering.dfn_image_embedding, threshold=args.threshold)
+
+    def filtered_line(rec):
+        doc = as_document(rec)
+        kept = filter_doc(doc)
+        return doc.id, None if kept is None else encode_record(kept)
+
+    results = _read_all(getattr(args, "in"), "auto", filtered_line)
+    write_records(args.out, [line for _, line in results if line is not None])
     rejects_path = _sidecar_rejects(args.out)
-    _write_rejects(rejects_path, rejects)
+    _write_rejects(rejects_path, [filtering.dfn_reject(rid) for rid, line in results
+                                  if line is None])
     config = {"threshold": args.threshold}
     inputs = {"records": str(getattr(args, "in"))}
     outputs = {"filtered": str(args.out), "rejects": str(rejects_path)}
@@ -328,8 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--in", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--batch-size", type=int, default=256,
-                   help="records read, and split between the score processes, at a time")
+    p.add_argument("--batch-size", type=int, default=FilterConfig.batch_size,
+                   help="records the forked worker takes at a time")
     p.add_argument("--workers", type=int, default=len(os.sched_getaffinity(0)),
                    help="score processes: 1 scores in this process, 2 or more "
                         "in this one and one forked worker; default the usable CPU count")

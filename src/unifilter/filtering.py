@@ -13,22 +13,21 @@ import hashlib
 import math
 import time
 from dataclasses import asdict, dataclass
-from functools import cache
-from itertools import islice
+from contextlib import closing
+from functools import cache, partial
 
 import numpy as np
 
-from .classifier import sample_cost
 from .common import DataError, check_counts, child_rng, unit_vector
 from .encoder import EncoderConfig, patchify_embed
 from .packing import tokenize_words
 from .records import CaptionSample, ImagePayload, InterleavedDoc, ScoredRecord, as_document
-from .runner import TASK_GROUPS, balanced_groups, in_order, task_runner
+from .runner import MAP_CHUNK, ordered_map
 
 
 @dataclass
 class FilterConfig:
-    batch_size: int = 256
+    batch_size: int = MAP_CHUNK
     workers: int = 1
 
     def __post_init__(self):
@@ -39,48 +38,40 @@ def score_corpus(records, model, cfg: FilterConfig | None = None,
                  ) -> tuple[list[ScoredRecord], list[dict]]:
     """Score records in corpus order with a model's score_record.
 
-    records is any iterable, a reader's generator among them: it is read
-    cfg.batch_size records at a time, so only one batch of records is held.
-    Returns (scored, rejects).  Records the model cannot assemble (over
-    length, say) or whose score is not finite become reject entries instead
-    of aborting the run.  A duplicate record id is a DataError, raised
-    before the batch it arrives in is scored.  With cfg.workers > 1 one
-    worker is forked before the first batch (runner.task_runner, as in
-    train), and each batch splits record by record into TASK_GROUPS groups
-    of balanced sample_cost(doc, model.config), as train splits a batch; the
-    worker scores the second group, which it receives and returns over the
-    runner's pipe.  Each record is forwarded on its own, so scores are
-    bitwise independent of batch size and worker count.
+    records is an iterable of records, or a reader: a function called as
+    records(fn, chunk, fork) that yields fn(record) for each record in
+    corpus order, such as records.read_records bound to a path and kind,
+    which decodes each line in the process that scores it.  Returns (scored,
+    rejects).  Records the model cannot assemble (over length, say) or whose
+    score is not finite become reject entries instead of aborting the run.
+    A duplicate record id is a DataError, raised in record order as its
+    result arrives.  Records go through runner.ordered_map (or the
+    reader's): with cfg.workers > 1 a forked worker takes cfg.batch_size
+    records at a time while this process scores the ones after them.  Each
+    record is forwarded on its own, so scores are bitwise independent of
+    batch size and worker count.
     """
     cfg = cfg or FilterConfig()
 
-    def score_one(doc):
+    def score_one(rec):
+        doc = as_document(rec)
         try:
             score = model.score_record(doc)
         except DataError as exc:
-            return None, {"id": doc.id, "error": str(exc)}
+            return doc.id, {"id": doc.id, "error": str(exc)}
         if not math.isfinite(score):
-            return None, {"id": doc.id, "error": "non-finite score"}
-        return ScoredRecord(id=doc.id, score=score, modality=doc.modality), None
+            return doc.id, {"id": doc.id, "error": "non-finite score"}
+        return doc.id, ScoredRecord(id=doc.id, score=score, modality=doc.modality)
 
-    fork = cfg.workers > 1      # one process scores every batch in order, unsplit
+    read = records if callable(records) else partial(ordered_map, records)
     seen: set[str] = set()
     scored, rejects = [], []
-    records = iter(records)
-    with task_runner(lambda docs: [score_one(doc) for doc in docs], fork=fork) as run_pair:
-        while batch := [as_document(rec) for rec in islice(records, cfg.batch_size)]:
-            for doc in batch:
-                if doc.id in seen:
-                    raise DataError(f"duplicate record id {doc.id!r}")
-                seen.add(doc.id)
-            groups = (balanced_groups([sample_cost(doc, model.config) for doc in batch],
-                                      TASK_GROUPS) if fork else [range(len(batch))])
-            results = run_pair([[batch[i] for i in group] for group in groups])
-            for rec, rej in in_order(groups, results):
-                if rej is None:
-                    scored.append(rec)
-                else:
-                    rejects.append(rej)
+    with closing(read(score_one, cfg.batch_size, cfg.workers > 1)) as results:
+        for rid, result in results:
+            if rid in seen:
+                raise DataError(f"duplicate record id {rid!r}")
+            seen.add(rid)
+            (scored if isinstance(result, ScoredRecord) else rejects).append(result)
     return scored, rejects
 
 
@@ -92,8 +83,36 @@ def _retain_count(n: int, fraction: float) -> int:
     return max(1, min(n, m)) if n > 0 else 0
 
 
-def _ranked_ids(scores: list[ScoredRecord]) -> list[str]:
-    return [s.id for s in sorted(scores, key=lambda s: (-s.score, s.id))]
+def top_fraction_ids(scores: list[ScoredRecord], fraction: float) -> set[str]:
+    """Ids of the ceil(fraction * N) highest of N scores, ties broken by
+    ascending id.  DataError on a fraction outside (0, 1] or a repeated id."""
+    if not 0.0 < fraction <= 1.0:
+        raise DataError(f"fraction must be in (0, 1], got {fraction}")
+    ids = set()
+    for s in scores:
+        if s.id in ids:
+            raise DataError(f"duplicate score for id {s.id!r}")
+        ids.add(s.id)
+    ranked = sorted(scores, key=lambda s: (-s.score, s.id))
+    return {s.id for s in ranked[:_retain_count(len(scores), fraction)]}
+
+
+def one_score_each(pairs, score_ids: set[str]):
+    """Yield each (value, record id) pair in order, checking that every
+    record has exactly one score and vice versa: DataError on a repeated
+    record id, a record id with no score and, after the last pair, a score
+    with no record."""
+    seen: set[str] = set()
+    for value, rid in pairs:
+        if rid in seen:
+            raise DataError(f"duplicate record id {rid!r}")
+        if rid not in score_ids:
+            raise DataError(f"no score for record id {rid!r}")
+        seen.add(rid)
+        yield value, rid
+    extra = score_ids - seen
+    if extra:
+        raise DataError(f"score for unknown record id {sorted(extra)[0]!r}")
 
 
 def select_top_fraction(scores: list[ScoredRecord], records: list,
@@ -101,26 +120,11 @@ def select_top_fraction(scores: list[ScoredRecord], records: list,
     """Keep exactly ceil(fraction * N) records, ties broken by ascending id.
 
     Output preserves the original corpus order.  Every record must have
-    exactly one score and vice versa.
+    exactly one score and vice versa (one_score_each).
     """
-    if not 0.0 < fraction <= 1.0:
-        raise DataError(f"fraction must be in (0, 1], got {fraction}")
-    by_id: dict[str, float] = {}
-    for s in scores:
-        if s.id in by_id:
-            raise DataError(f"duplicate score for id {s.id!r}")
-        by_id[s.id] = s.score
-    record_ids = [as_document(r).id for r in records]
-    missing = [rid for rid in record_ids if rid not in by_id]
-    if missing:
-        raise DataError(f"no score for record id {missing[0]!r}")
-    extra = set(by_id) - set(record_ids)
-    if extra:
-        raise DataError(f"score for unknown record id {sorted(extra)[0]!r}")
-
-    m = _retain_count(len(records), fraction)
-    keep = set(_ranked_ids(scores)[:m])
-    return [r for r, rid in zip(records, record_ids) if rid in keep]
+    keep = top_fraction_ids(scores, fraction)
+    pairs = one_score_each(((r, as_document(r).id) for r in records), {s.id for s in scores})
+    return [r for r, rid in pairs if rid in keep]
 
 
 def threshold_for_fraction(scores: list[ScoredRecord], fraction: float) -> float:
@@ -204,6 +208,11 @@ def dfn_filter_doc(doc: CaptionSample | InterleavedDoc, text_embed_fn, image_emb
     return InterleavedDoc(id=doc.id, items=kept_items)
 
 
+def dfn_reject(doc_id: str) -> dict:
+    """The reject entry of a record that loses every image."""
+    return {"id": doc_id, "error": "no image met the similarity threshold"}
+
+
 def dfn_filter_corpus(docs: list, threshold: float = 0.15,
                       text_embed_fn=None, image_embed_fn=None) -> tuple[list, list[dict]]:
     """Apply dfn_filter_doc across captions and documents.  Records that lose
@@ -215,7 +224,7 @@ def dfn_filter_corpus(docs: list, threshold: float = 0.15,
     for doc in docs:
         filtered = dfn_filter_doc(doc, text_embed_fn, image_embed_fn, threshold)
         if filtered is None:
-            rejects.append({"id": doc.id, "error": "no image met the similarity threshold"})
+            rejects.append(dfn_reject(doc.id))
         else:
             kept.append(filtered)
     return kept, rejects

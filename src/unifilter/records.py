@@ -21,9 +21,9 @@ kinds use that interface, and the few caption rules that differ (packing's
 optional chunk marker, say) read the modality attribute, not the type.
 
 Floats are written with repr precision, so write -> read -> write is byte
-stable.  The reader validates each line and raises SchemaError on the first
-malformed one; decode_record is the one place that attaches the line number,
-so every malformed line is reported with it.
+stable.  The reader validates each line and raises SchemaError, with the
+line number, on the first malformed one: bytes that are not UTF-8, text that
+is not a JSON object, or an object that is not a valid record.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .common import DataError, SchemaError, atomic_write, dump_json_line
+from .runner import MAP_CHUNK, ordered_map
 
 LEVEL_NAMES = {0: "easy_negative", 1: "medium_negative", 2: "hard_negative", 3: "positive"}
 
@@ -338,34 +339,66 @@ def sniff_kind(obj) -> str:
 # --- streams -----------------------------------------------------------------
 
 
-def read_records(path, kind: str):
-    """Yield records from a JSONL file in file order.
+def _numbered_lines(fh):
+    """(line number, text) for each line of a binary file that is not blank;
+    a line that is not UTF-8 raises SchemaError with its number."""
+    for line_no, raw in enumerate(fh, start=1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"not UTF-8: {exc.reason} at byte {exc.start}", line_no) from None
+        if line.strip():
+            yield line_no, line
+
+
+def decode_line(numbered, kind: str):
+    """The record on one (line number, text) line; kind as for read_records."""
+    line_no, line = numbered
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"invalid JSON: {exc.msg}", line_no) from exc
+    except RecursionError as exc:
+        raise SchemaError("invalid JSON: nested too deeply", line_no) from exc
+    if not isinstance(obj, dict):
+        raise SchemaError(f"expected a JSON object, got {type(obj).__name__}", line_no)
+    return decode_record(obj, sniff_kind(obj) if kind == "auto" else kind, line_no)
+
+
+def read_records(path, kind: str, fn=None, chunk: int = MAP_CHUNK, fork: bool | None = None):
+    """Yield records from a JSONL file in file order, or fn(record) for each.
 
     kind is one of caption / interleaved / labeled / scored, or "auto" to
-    sniff each line.  The first malformed line raises SchemaError with its
-    line number.
+    sniff each line.  The first malformed line, a line that is not UTF-8
+    among them, raises SchemaError with its line number.  Lines are read and
+    checked for UTF-8 here.  Without fn each is decoded here too.  With fn
+    the lines go through runner.ordered_map(chunk, fork): each line is
+    decoded, and fn run on its record, in the process that takes the line,
+    so only fn's results come back over the pipe, and the first error in
+    file order is raised whichever process hit it.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"invalid JSON: {exc.msg}", line_no) from exc
-            except RecursionError as exc:
-                raise SchemaError("invalid JSON: nested too deeply", line_no) from exc
-            if not isinstance(obj, dict):
-                raise SchemaError(f"expected a JSON object, got {type(obj).__name__}", line_no)
-            yield decode_record(obj, sniff_kind(obj) if kind == "auto" else kind, line_no)
+    with open(path, "rb") as fh:
+        lines = _numbered_lines(fh)
+        if fn is None:
+            for numbered in lines:
+                yield decode_line(numbered, kind)
+        else:
+            yield from ordered_map(lines, lambda numbered: fn(decode_line(numbered, kind)),
+                                   chunk, fork)
+
+
+def encode_record(rec) -> str:
+    """One record's JSONL line, without its newline."""
+    return dump_json_line(rec.to_obj())
 
 
 def write_records(path, records) -> int:
-    """Write records (anything with .to_obj()) as JSONL; returns the count."""
+    """Write records (anything with .to_obj(), or a line from encode_record)
+    as JSONL; returns the count."""
     n = 0
     with atomic_write(path) as fh:
         for rec in records:
-            fh.write(dump_json_line(rec.to_obj()))
+            fh.write(rec if isinstance(rec, str) else encode_record(rec))
             fh.write("\n")
             n += 1
     return n

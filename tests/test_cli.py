@@ -13,13 +13,12 @@ import numpy as np
 import pytest
 
 import unifilter
-from unifilter.classifier import ModelConfig, QualityModel, init_params, sample_cost, save_model
+from unifilter.classifier import ModelConfig, QualityModel, init_params, save_model
 from unifilter.cli import main
 from unifilter.common import DataError, child_rng, read_json_file
 from unifilter.packing import Vocab
 from unifilter.records import (CaptionSample, DocItem, ImagePayload, InterleavedDoc, LabeledSample,
                                ScoredRecord, write_records)
-from unifilter.runner import TASK_GROUPS, balanced_groups
 
 TINY_CFG = {
     "encoder": {"patch_size": 4, "d_v": 8, "t": 4, "d": 16, "seed": 0},
@@ -566,8 +565,8 @@ def test_diverging_training_exits_4_without_a_checkpoint(tmp_path, capsys, small
 def test_too_long_training_record_exits_3_with_one_json_error(tmp_path, capfd, small_data):
     # At max_seq_len 160 every generated record fits (the longest has 155
     # positions), so the too-long one is its batch's costliest sample.  It
-    # goes to the training process's group, which fails at once while the
-    # forked worker is still busy with the other group.
+    # goes to the first group, which the forked worker runs, and its error
+    # reaches this process with its type once this process's group is done.
     lines = (small_data / "train.jsonl").read_text().splitlines()
     doc = next(json.loads(line) for line in lines if json.loads(line)["kind"] == "interleaved")
     items = doc["record"]["items"]
@@ -651,7 +650,7 @@ def test_score_worker_death_exits_3_with_one_json_error(tmp_path, capfd, small_d
     capfd.readouterr()
     rc = main(["score", "--checkpoint", str(tmp_path / "model.json"),
                "--in", str(small_data / "train.jsonl"), "--out", str(tmp_path / "scores.jsonl"),
-               "--batch-size", "2", "--workers", "2"])    # at 1 the worker gets no record
+               "--batch-size", "2", "--workers", "2"])    # the worker takes records 1-2
     assert rc == 3
     _assert_one_dead_worker_error(capfd)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
@@ -762,9 +761,9 @@ def test_workers_flag_sets_score_workers(tmp_path):
 
 
 def test_score_rejects_from_both_processes_match_one_process(tmp_path, capfd):
-    """Each score process's group of the one batch holds an over-length
-    record and an image too small to pool; --workers 2 writes --workers 1's
-    bytes."""
+    """The worker's first chunk holds an over-length record and an image too
+    small to pool, and this process's first record is over-length;
+    --workers 2 writes --workers 1's bytes."""
     model = _tiny_model()       # max_seq_len 96, t = 4
     save_model(tmp_path / "model.json", model)
     rng = child_rng(0, "cli-both-processes")
@@ -773,26 +772,22 @@ def test_score_rejects_from_both_processes_match_one_process(tmp_path, capfd):
         return ImagePayload(pixels=rng.uniform(size=(1, side, side)))
 
     records = [CaptionSample(id=f"c{i}", image=image(), text="the fox runs") for i in range(8)]
-    for slot, rid in ((1, "long0"), (4, "small0"), (6, "long1"), (9, "small1")):
+    for slot, rid in ((1, "long0"), (2, "small0"), (3, "long1"), (9, "small1")):
         if rid.startswith("long"):      # 7 x 16 image tokens exceed max_seq_len 96
             items = [DocItem(kind="image", image=image()) for _ in range(7)]
             items.append(DocItem(kind="text", text="fox"))
             records.insert(slot, InterleavedDoc(id=rid, items=items))
         else:                           # a 2 x 2 patch grid cannot pool to 4 x 4
             records.insert(slot, CaptionSample(id=rid, image=image(side=8), text="fox"))
-    groups = balanced_groups([sample_cost(r, model.config) for r in records], TASK_GROUPS)
-    for group in groups:        # one of each kind in each process's group
-        assert sorted(records[i].id[:-1] for i in group if records[i].id[0] != "c") \
-            == ["long", "small"]
     write_records(tmp_path / "corpus.jsonl", records)
 
     capfd.readouterr()
     outputs = []
-    for workers in ("1", "2"):
+    for workers in ("1", "2"):      # the worker takes records 0-2, this process record 3
         out = tmp_path / f"scores{workers}.jsonl"
         assert main(["score", "--checkpoint", str(tmp_path / "model.json"),
                      "--in", str(tmp_path / "corpus.jsonl"), "--out", str(out),
-                     "--workers", workers]) == 0
+                     "--batch-size", "3", "--workers", workers]) == 0
         rejects_path = tmp_path / f"scores{workers}.rejects.jsonl"
         outputs.append((out.read_bytes(), rejects_path.read_bytes()))
     assert outputs[0] == outputs[1]
@@ -811,9 +806,9 @@ def _score_bytes(tmp_path, name, *flags):
 
 
 def test_score_bytes_do_not_depend_on_the_batch_size(tmp_path, capfd):
-    """Batches of 1, 2 and 5 records, on one process and two, write the
-    default run's bytes.  The first batch of 5 puts a reject in each
-    process's group, and a later batch holds one more."""
+    """Chunks of 1, 2 and 5 records, on one process and two, write the
+    default run's bytes.  The worker's first chunk of 5 holds two rejects,
+    and a later record one more."""
     model = _tiny_model()       # max_seq_len 96, t = 4
     save_model(tmp_path / "model.json", model)
     rng = child_rng(0, "cli-batches")
@@ -829,11 +824,6 @@ def test_score_bytes_do_not_depend_on_the_batch_size(tmp_path, capfd):
             records.insert(slot, InterleavedDoc(id=rid, items=items))
         else:                           # a 2 x 2 patch grid cannot pool to 4 x 4
             records.insert(slot, CaptionSample(id=rid, image=image(side=8), text="fox"))
-    first = records[:5]
-    assert "long1" in [r.id for r in records[len(first):]]
-    groups = balanced_groups([sample_cost(r, model.config) for r in first], TASK_GROUPS)
-    assert [sorted(first[i].id for i in group if first[i].id[0] != "c") for group in groups] \
-        in ([["long0"], ["small0"]], [["small0"], ["long0"]])
     write_records(tmp_path / "corpus.jsonl", records)
 
     capfd.readouterr()
@@ -853,7 +843,7 @@ def test_a_duplicate_id_in_a_later_batch_exits_3_without_scores(tmp_path, capfd)
     rng = child_rng(0, "cli-late-duplicate")
     records = [CaptionSample(id=f"c{i}", image=ImagePayload(pixels=rng.uniform(size=(1, 16, 16))),
                              text="the fox runs") for i in range(12)]
-    records.append(records[3])      # arrives in the third batch of --batch-size 5
+    records.append(records[3])      # arrives after the worker's first chunk of 5
     write_records(tmp_path / "corpus.jsonl", records)
     capfd.readouterr()
     rc = main(["score", "--checkpoint", str(tmp_path / "model.json"),
@@ -954,3 +944,96 @@ def test_every_subcommand_writes_a_manifest(tmp_path):
     assert manifest["seed"] is None  # score draws no random numbers
     manifest = json.loads((data / "manifest.json").read_text())
     assert manifest["seed"] == 9 and "seed" not in manifest["config"]
+
+
+def _corpus_and_scores(tmp_path, data):
+    """The generated train split as a corpus, and a score for each record."""
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes((data / "train.jsonl").read_bytes())
+    ids = [json.loads(line)["record"]["id"] for line in corpus.read_text().splitlines()]
+    write_records(tmp_path / "scores.jsonl", [
+        ScoredRecord(id=rid, score=(i * 7919 % 101) / 100, modality="caption")
+        for i, rid in enumerate(ids)])
+    return corpus, ids
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
+def test_mapped_stages_write_the_same_bytes_on_one_cpu_and_two(tmp_path):
+    """filter, dfn-filter and cluster map each record on both CPUs when
+    there are two, and on this process alone when pinned to one."""
+    data = _gen(tmp_path, seed=5, levels_count=3)
+    corpus, _ = _corpus_and_scores(tmp_path, data)
+    before = os.sched_getaffinity(0)
+    outputs = {}
+    for name, allowed in (("one", {min(before)}), ("all", before)):
+        out = tmp_path / name
+        out.mkdir()
+        os.sched_setaffinity(0, allowed)
+        try:
+            for argv in (["filter", "--scores", str(tmp_path / "scores.jsonl"),
+                          "--fraction", "0.4", "--out", str(out / "kept.jsonl")],
+                         ["dfn-filter", "--out", str(out / "dfn.jsonl")],
+                         ["cluster", "--k", "3", "--out", str(out / "clusters.json")]):
+                flag = "--embeddings-from" if argv[0] == "cluster" else "--in"
+                assert main([*argv, flag, str(corpus)]) == 0, argv
+        finally:
+            os.sched_setaffinity(0, before)
+        outputs[name] = {path.name: path.read_bytes() for path in out.iterdir()
+                         if not path.name.endswith("manifest.json")}
+    assert sorted(outputs["one"]) == ["clusters.json", "dfn.jsonl", "dfn.rejects.jsonl",
+                                      "kept.jsonl"]
+    assert outputs["one"] == outputs["all"]
+    assert multiprocessing.active_children() == []
+
+
+def test_a_jsonl_line_that_is_not_utf8_exits_3_naming_it(tmp_path, capfd):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(b'\n{"id": "a\xff"}\n')      # a blank line, then Latin-1 bytes
+    capfd.readouterr()
+    assert main(["stats", "--in", str(bad), "--out", str(tmp_path / "s.json")]) == 3
+    err = capfd.readouterr().err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    obj = json.loads(err)
+    assert obj["error"] == "data" and obj["message"].startswith("line 2: not UTF-8")
+    assert not (tmp_path / "s.json").exists()
+
+
+def test_filter_refuses_a_repeated_record_id(tmp_path, capfd):
+    """Corpus a, a, b with scores for a and b: N is the 2 scores, and the
+    repeat exits 3 rather than keeping all three records."""
+    data = _gen(tmp_path, seed=5, levels_count=2)
+    lines = (data / "train.jsonl").read_text().splitlines()
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("\n".join([lines[0], lines[0], lines[1]]) + "\n")
+    ids = [json.loads(line)["record"]["id"] for line in lines[:2]]
+    write_records(tmp_path / "scores.jsonl", [ScoredRecord(id=rid, score=0.5, modality="caption")
+                                              for rid in ids])
+    capfd.readouterr()
+    rc = main(["filter", "--scores", str(tmp_path / "scores.jsonl"), "--in", str(corpus),
+               "--fraction", "0.34", "--out", str(tmp_path / "kept.jsonl")])
+    err = capfd.readouterr().err
+    assert rc == 3 and "Traceback" not in err
+    assert json.loads(err) == {"error": "data", "message": f"duplicate record id {ids[0]!r}"}
+    assert not (tmp_path / "kept.jsonl").exists()
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
+def test_cluster_worker_death_exits_3_with_one_json_error(tmp_path, capfd, small_data,
+                                                          monkeypatch):
+    from unifilter import clustering
+
+    parent, real = os.getpid(), clustering.image_embedding
+
+    def image_embedding(*args):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(*args)
+
+    monkeypatch.setattr(clustering, "image_embedding", image_embedding)
+    capfd.readouterr()
+    rc = main(["cluster", "--embeddings-from", str(small_data / "train.jsonl"), "--k", "2",
+               "--out", str(tmp_path / "clusters.json")])
+    assert rc == 3
+    _assert_one_dead_worker_error(capfd)
+    assert list(tmp_path.iterdir()) == []

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from unifilter.classifier import ModelConfig, QualityModel, init_params, sample_cost
+from unifilter.classifier import ModelConfig, QualityModel, init_params
 from unifilter.common import DataError, child_rng
 from unifilter.encoder import EncoderConfig
 from unifilter.filtering import (
@@ -26,7 +26,6 @@ from unifilter.records import (
     InterleavedDoc,
     ScoredRecord,
 )
-from unifilter.runner import TASK_GROUPS, balanced_groups
 
 
 def _scores(values, prefix="r"):
@@ -122,8 +121,10 @@ def test_select_validates_id_correspondence():
         select_top_fraction(scores, records, 0.5)
     with pytest.raises(DataError, match="unknown record"):
         select_top_fraction(_scores([0.1, 0.2, 0.3]), records[:2], 0.5)
-    with pytest.raises(DataError, match="duplicate"):
+    with pytest.raises(DataError, match="duplicate score"):
         select_top_fraction(scores + scores[:1], records[:2], 0.5)
+    with pytest.raises(DataError, match="duplicate record id 'r0000'"):
+        select_top_fraction(scores, records[:2] + records[:1], 0.5)
 
 
 def test_threshold_for_fraction_examples():
@@ -366,16 +367,9 @@ def test_corpus_stats_rejects_empty_and_bad_fraction():
 
 
 class _StubModel:
-    """Scores by id digits; over-length ids raise like the real model.  Its
-    config sizes score_corpus's cost estimate."""
-
-    config = ModelConfig()
-
-    def __init__(self):
-        self.calls = 0
+    """Scores by id digits; over-length ids raise like the real model."""
 
     def score_record(self, record):
-        self.calls += 1
         if record.id.endswith("bad"):
             raise DataError(f"record {record.id!r}: too long")
         if record.id.endswith(("nan", "inf")):
@@ -402,13 +396,15 @@ def test_score_corpus_rejects_non_finite_scores():
                        {"id": "sinf", "error": "non-finite score"}]
 
 
-def test_score_corpus_refuses_duplicate_ids_before_scoring():
+def test_score_corpus_refuses_duplicate_ids():
+    """The repeat is found when its result arrives, in record order, before
+    a later record's error, on one process and on two."""
     img = ImagePayload(pixels=np.zeros((1, 2, 2)))
-    records = [CaptionSample(id=rid, image=img, text="t") for rid in ("s1", "s2", "s1")]
-    model = _StubModel()
-    with pytest.raises(DataError, match="duplicate record id 's1'"):
-        score_corpus(records, model, FilterConfig())
-    assert model.calls == 0
+    records = [CaptionSample(id=rid, image=img, text="t") for rid in ("s1", "s2", "s1", "s4")]
+    records.append("not a record")
+    for workers in (1, 2):
+        with pytest.raises(DataError, match="duplicate record id 's1'"):
+            score_corpus(records, _StubModel(), FilterConfig(batch_size=2, workers=workers))
 
 
 def test_score_corpus_empty_input():
@@ -426,24 +422,10 @@ def test_score_corpus_batch_and_worker_invariance():
         assert [(s.id, s.score) for s in out] == [(s.id, s.score) for s in base]
 
 
-def test_score_corpus_estimates_costs_only_when_it_forks(monkeypatch):
-    """One process scores its batches in order: the cost split is skipped."""
-    from unifilter import filtering
-
-    calls = []
-    monkeypatch.setattr(filtering, "sample_cost", lambda doc, cfg: calls.append(doc.id) or 1)
-    img = ImagePayload(pixels=np.zeros((1, 2, 2)))
-    records = [CaptionSample(id=f"s{i}", image=img, text="t") for i in range(7)]
-    one = score_corpus(records, _StubModel(), FilterConfig(batch_size=2, workers=1))
-    assert calls == []
-    two = score_corpus(records, _StubModel(), FilterConfig(batch_size=2, workers=2))
-    assert sorted(calls) == sorted(r.id for r in records)
-    assert one == two
-
-
 def test_score_corpus_rejects_from_both_processes():
-    """Each process's group holds an over-length record and an image too
-    small to pool; two processes give one process's scores and rejects."""
+    """The worker's first chunk holds an over-length record and an image too
+    small to pool, and this process's first record is over-length; two
+    processes give one process's scores and rejects."""
     cfg = ModelConfig(d=16, n_layers=1, n_heads=2, max_seq_len=96, encoder=EncoderConfig(d=16))
     model = QualityModel(cfg, Vocab(words=["fox"]), init_params(cfg, 5, child_rng(0)))
     rng = child_rng(0, "both-processes")
@@ -452,20 +434,17 @@ def test_score_corpus_rejects_from_both_processes():
         return ImagePayload(pixels=rng.uniform(size=(1, side, side)))
 
     records = [CaptionSample(id=f"c{i}", image=image(), text="the fox runs") for i in range(8)]
-    for slot, rid in ((1, "long0"), (4, "small0"), (6, "long1"), (9, "small1")):
+    for slot, rid in ((1, "long0"), (2, "small0"), (3, "long1"), (9, "small1")):
         if rid.startswith("long"):      # 7 x 16 image tokens exceed max_seq_len 96
             items = [DocItem(kind="image", image=image()) for _ in range(7)]
             items.append(DocItem(kind="text", text="fox"))
             records.insert(slot, InterleavedDoc(id=rid, items=items))
         else:                           # a 2 x 2 patch grid cannot pool to 4 x 4
             records.insert(slot, CaptionSample(id=rid, image=image(side=8), text="fox"))
-    groups = balanced_groups([sample_cost(r, model.config) for r in records], TASK_GROUPS)
-    for group in groups:        # one of each kind in each process's group
-        assert sorted(records[i].id[:-1] for i in group if records[i].id[0] != "c") \
-            == ["long", "small"]
 
-    one = score_corpus(records, model, FilterConfig(batch_size=len(records), workers=1))
-    two = score_corpus(records, model, FilterConfig(batch_size=len(records), workers=2))
+    # the worker takes records 0-2, this process record 3 and then either may go on
+    one = score_corpus(records, model, FilterConfig(batch_size=3, workers=1))
+    two = score_corpus(records, model, FilterConfig(batch_size=3, workers=2))
     assert two == one
     scored, rejects = one
     assert [s.id for s in scored] == [f"c{i}" for i in range(8)]
