@@ -26,7 +26,7 @@ from .common import (DataError, NumericError, __version__, atomic_write, check_c
                      check_field, config_from, dump_json_line, read_json_file, write_json_file)
 from .encoder import EncoderConfig
 from .filtering import FilterConfig
-from .packing import Vocab, pack, write_packed
+from .packing import Vocab, flatten_doc, pack, write_packed
 from .records import as_document, encode_record, read_records, write_records
 
 
@@ -54,8 +54,8 @@ def _manifest_path(primary_out) -> Path:
 
 def _stream(path, kind: str, *mapped):
     """read_records(path, kind, *mapped), with a missing file a DataError
-    naming it.  mapped is (fn[, chunk[, fork]]): fn runs on each record in
-    the process that decodes it (records.read_records)."""
+    naming it.  mapped is (fn[, chunk[, fork]]): fn(record, line) runs on
+    each record in the process that decodes it (records.read_records)."""
     try:
         yield from read_records(path, kind, *mapped)
     except FileNotFoundError:
@@ -127,7 +127,7 @@ def cmd_cluster(args):
     scfg = clustering.SampleConfig(per_cluster=args.per_cluster, seed=args.seed)
     enc_cfg = EncoderConfig()
 
-    def embed(rec):
+    def embed(rec, line):
         rec = as_document(rec)
         if rec.modality == "caption":   # doc_embedding would normalise the vector again
             return rec.id, clustering.image_embedding(rec.image, enc_cfg)
@@ -229,14 +229,15 @@ def cmd_filter(args):
     scores = _read_all(args.scores, "scored")
     keep = filtering.top_fraction_ids(scores, args.fraction)
 
-    def kept_line(rec):
+    def kept_line(rec, line):
         rid = as_document(rec).id
-        return encode_record(rec) if rid in keep else None, rid
+        return line.removesuffix("\n") if rid in keep else None, rid
 
+    # kept lines stream into the atomic write, so a missing or extra id leaves no file
     with closing(_stream(getattr(args, "in"), "auto", kept_line)) as lines:
-        kept = [line for line, _ in filtering.one_score_each(lines, {s.id for s in scores})
-                if line is not None]
-    write_records(args.out, kept)
+        write_records(args.out, (line for line, _ in
+                                 filtering.one_score_each(lines, {s.id for s in scores})
+                                 if line is not None))
     threshold = filtering.threshold_for_fraction(scores, args.fraction) if scores else None
     config = {"fraction": args.fraction, "score_threshold": threshold}
     inputs = {"scores": str(args.scores), "records": str(getattr(args, "in"))}
@@ -248,16 +249,27 @@ def cmd_dfn_filter(args):
     filter_doc = partial(filtering.dfn_filter_doc, text_embed_fn=filtering.hashed_text_embedding,
                          image_embed_fn=filtering.dfn_image_embedding, threshold=args.threshold)
 
-    def filtered_line(rec):
+    def filtered_line(rec, line):
         doc = as_document(rec)
         kept = filter_doc(doc)
-        return doc.id, None if kept is None else encode_record(kept)
+        if kept is None:
+            return doc.id, None
+        # a labeled line comes out as its document, so only the document itself passes through
+        return doc.id, line.removesuffix("\n") if kept is rec else encode_record(kept)
 
-    results = _read_all(getattr(args, "in"), "auto", filtered_line)
-    write_records(args.out, [line for _, line in results if line is not None])
+    rejects = []
+
+    def kept_lines(results):
+        for rid, line in results:
+            if line is None:
+                rejects.append(filtering.dfn_reject(rid))
+            else:
+                yield line
+
+    with closing(_stream(getattr(args, "in"), "auto", filtered_line)) as results:
+        write_records(args.out, kept_lines(results))
     rejects_path = _sidecar_rejects(args.out)
-    _write_rejects(rejects_path, [filtering.dfn_reject(rid) for rid, line in results
-                                  if line is None])
+    _write_rejects(rejects_path, rejects)
     config = {"threshold": args.threshold}
     inputs = {"records": str(getattr(args, "in"))}
     outputs = {"filtered": str(args.out), "rejects": str(rejects_path)}
@@ -265,9 +277,11 @@ def cmd_dfn_filter(args):
 
 
 def cmd_pack(args):
-    records = _read_all(getattr(args, "in"), "auto")
     vocab = Vocab.load(args.vocab)
-    seqs = pack(records, args.context_len, vocab, args.t)
+    # records are flattened where they are decoded; only their token ids come back
+    with closing(_stream(getattr(args, "in"), "auto",
+                         lambda rec, line: flatten_doc(rec, vocab, args.t))) as flats:
+        seqs = pack(flats, args.context_len, vocab, args.t)
     write_packed(args.out, seqs)
     config = {"context_len": args.context_len, "t": args.t}
     inputs = {"records": str(getattr(args, "in")), "vocab": str(args.vocab)}
@@ -276,9 +290,10 @@ def cmd_pack(args):
 
 def cmd_stats(args):
     check_field(args, "image_token_equiv", lambda v: v >= 0, "an integer >= 0")
-    records = _read_all(getattr(args, "in"), "auto")
-    stats = filtering.corpus_stats(records, image_token_equiv=args.image_token_equiv,
-                                   retained_fraction=args.retained_fraction)
+    with closing(_stream(getattr(args, "in"), "auto",
+                         lambda rec, line: filtering.record_counts(rec))) as counts:
+        stats = filtering.corpus_stats(counts, image_token_equiv=args.image_token_equiv,
+                                       retained_fraction=args.retained_fraction)
     write_json_file(args.out, stats.to_obj())
     print(filtering.format_stats(stats))
     config = {"image_token_equiv": args.image_token_equiv,

@@ -94,9 +94,18 @@ def child_rng(seed: int, *path) -> np.random.Generator:
 # --- json ------------------------------------------------------------------
 
 
+def _json_text(obj, what: str, **layout) -> str:
+    """obj as JSON text; a NaN or an infinity in it is a NumericError naming what."""
+    try:
+        return json.dumps(obj, ensure_ascii=False, allow_nan=False, **layout)
+    except ValueError as exc:   # allow_nan=False refuses a non-finite float
+        raise NumericError(f"{what}: {exc}") from None
+
+
 def dump_json_line(obj) -> str:
-    """One JSONL line. repr-based floats survive a round trip exactly."""
-    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
+    """One JSONL line. repr-based floats survive a round trip exactly; a
+    non-finite one is a NumericError."""
+    return _json_text(obj, "JSON line", separators=(",", ":"))
 
 
 @contextmanager
@@ -127,8 +136,11 @@ def atomic_write(path):
 
 
 def write_json_file(path, obj) -> None:
+    """obj as indented JSON; a non-finite float is a NumericError, and then
+    no file is written."""
+    text = _json_text(obj, str(path), indent=2)
     with atomic_write(path) as fh:
-        json.dump(obj, fh, ensure_ascii=False, indent=2)
+        fh.write(text)
         fh.write("\n")
 
 

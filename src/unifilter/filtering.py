@@ -14,7 +14,8 @@ import math
 import time
 from dataclasses import asdict, dataclass
 from contextlib import closing
-from functools import cache, partial
+from functools import cache, lru_cache, partial
+from operator import attrgetter
 
 import numpy as np
 
@@ -39,7 +40,7 @@ def score_corpus(records, model, cfg: FilterConfig | None = None,
     """Score records in corpus order with a model's score_record.
 
     records is an iterable of records, or a reader: a function called as
-    records(fn, chunk, fork) that yields fn(record) for each record in
+    records(fn, chunk, fork) that yields fn(record, line) for each record in
     corpus order, such as records.read_records bound to a path and kind,
     which decodes each line in the process that scores it.  Returns (scored,
     rejects).  Records the model cannot assemble (over length, say) or whose
@@ -53,7 +54,7 @@ def score_corpus(records, model, cfg: FilterConfig | None = None,
     """
     cfg = cfg or FilterConfig()
 
-    def score_one(rec):
+    def score_one(rec, line=None):     # a reader's line is not needed here
         doc = as_document(rec)
         try:
             score = model.score_record(doc)
@@ -93,7 +94,9 @@ def top_fraction_ids(scores: list[ScoredRecord], fraction: float) -> set[str]:
         if s.id in ids:
             raise DataError(f"duplicate score for id {s.id!r}")
         ids.add(s.id)
-    ranked = sorted(scores, key=lambda s: (-s.score, s.id))
+    # score descending, ties by ascending id: two stable sorts build no key tuples
+    ranked = sorted(scores, key=attrgetter("id"))
+    ranked.sort(key=attrgetter("score"), reverse=True)
     return {s.id for s in ranked[:_retain_count(len(scores), fraction)]}
 
 
@@ -148,14 +151,25 @@ def threshold_for_fraction(scores: list[ScoredRecord], fraction: float) -> float
 DFN_DIM = 64  # the one width of text and image embeddings, so they can be compared
 
 
+# The encoder defaults that embed DFN images; built once, not per image.
+_DFN_ENCODER = EncoderConfig()
+
+
+# Bounded, so a corpus of many rare words cannot grow it without limit; the
+# common words, which most tokens are, stay cached.
+@lru_cache(maxsize=1 << 12)
+def _token_slot(tok: str) -> tuple[int, float]:
+    """(bucket, sign) of one token, from its sha256."""
+    h = hashlib.sha256(tok.encode("utf-8")).digest()
+    return int.from_bytes(h[:8], "big") % DFN_DIM, 1.0 if h[8] % 2 == 0 else -1.0
+
+
 def hashed_text_embedding(text: str):
     """L2-normalized signed hashed bag-of-tokens; None if the text has no
     tokens.  A deterministic toy stand-in for a real text encoder."""
     vec = np.zeros(DFN_DIM)
     for tok in tokenize_words(text.lower()):
-        h = hashlib.sha256(tok.encode("utf-8")).digest()
-        idx = int.from_bytes(h[:8], "big") % DFN_DIM
-        sign = 1.0 if h[8] % 2 == 0 else -1.0
+        idx, sign = _token_slot(tok)
         vec[idx] += sign
     return unit_vector(vec)
 
@@ -170,7 +184,7 @@ def dfn_image_embedding(payload: ImagePayload):
     text embedding space, L2 normalized; None for a zero or non-finite vector
     (huge finite pixels can overflow)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        grid = patchify_embed(payload, EncoderConfig())
+        grid = patchify_embed(payload, _DFN_ENCODER)
         mean_vec = grid.vecs.reshape(-1, grid.vecs.shape[2]).mean(axis=0)
         vec = mean_vec @ _dfn_projection(mean_vec.shape[0])
     return unit_vector(vec)
@@ -250,23 +264,26 @@ class CorpusStats:
         return asdict(self)
 
 
-def _record_counts(record) -> tuple[int, int]:
+def record_counts(record) -> tuple[int, int]:
     """(n_images, n_words) for a caption sample or interleaved doc."""
     doc = as_document(record)
     return len(doc.images()), sum(len(t.split()) for t in doc.texts())
 
 
-def corpus_stats(records: list, image_token_equiv: int = 144,
+def corpus_stats(records, image_token_equiv: int = 144,
                  retained_fraction: float = 1.0) -> CorpusStats:
-    """Per-record averages; doc length counts each image as
-    image_token_equiv tokens.  retained_fraction is supplied by the caller
-    (this function cannot know what the corpus was filtered from)."""
-    if not records:
+    """Per-record averages over an iterable of records, or of their
+    record_counts (as a mapped read returns them); doc length counts each
+    image as image_token_equiv tokens.  retained_fraction is supplied by the
+    caller (this function cannot know what the corpus was filtered from)."""
+    n = total_images = total_words = 0
+    for rec in records:
+        n_images, n_words = rec if isinstance(rec, tuple) else record_counts(rec)
+        n += 1
+        total_images += n_images
+        total_words += n_words
+    if not n:
         raise DataError("cannot compute stats over an empty corpus")
-    counts = [_record_counts(r) for r in records]
-    n = len(counts)
-    total_images = sum(c[0] for c in counts)
-    total_words = sum(c[1] for c in counts)
     return CorpusStats(
         n_records=n,
         avg_images_per_doc=total_images / n,

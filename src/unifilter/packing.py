@@ -140,8 +140,11 @@ class PackedSequence:
 def pack(records, context_len: int, vocab: Vocab, t: int) -> list[PackedSequence]:
     """Pack records into sequences of exactly context_len ids.
 
-    Image runs never split across sequences; the tail of a sequence is padded
-    when a run does not fit, and the final partial sequence is padded too.
+    records is an iterable of captions and documents, or of their FlatDocs
+    from flatten_doc with the same vocab and t (as a mapped read returns
+    them).  Image runs never split across sequences; the tail of a sequence
+    is padded when a run does not fit, and the final partial sequence is
+    padded too.
     """
     if t < 1:
         raise DataError(f"t={t}: must be an integer >= 1")
@@ -163,7 +166,8 @@ def pack(records, context_len: int, vocab: Vocab, t: int) -> list[PackedSequence
         cur_slots.clear()
 
     for record in records:
-        for seg in flatten_doc(record, vocab, t).segments:
+        flat = record if isinstance(record, FlatDoc) else flatten_doc(record, vocab, t)
+        for seg in flat.segments:
             ids = seg[-1]
             if seg[0] == "image":
                 if len(cur) + len(ids) > context_len:

@@ -366,16 +366,19 @@ def decode_line(numbered, kind: str):
 
 
 def read_records(path, kind: str, fn=None, chunk: int = MAP_CHUNK, fork: bool | None = None):
-    """Yield records from a JSONL file in file order, or fn(record) for each.
+    """Yield records from a JSONL file in file order, or fn(record, line)
+    for each.
 
     kind is one of caption / interleaved / labeled / scored, or "auto" to
     sniff each line.  The first malformed line, a line that is not UTF-8
     among them, raises SchemaError with its line number.  Lines are read and
     checked for UTF-8 here.  Without fn each is decoded here too.  With fn
     the lines go through runner.ordered_map(chunk, fork): each line is
-    decoded, and fn run on its record, in the process that takes the line,
-    so only fn's results come back over the pipe, and the first error in
-    file order is raised whichever process hit it.
+    decoded, and fn run on its record and on the line as read (with its
+    newline, if it had one), in the process that takes the line, so only
+    fn's results come back over the pipe, and the first error in file order
+    is raised whichever process hit it.  A stage that keeps a record as it
+    came writes that line back, so its bytes pass through unchanged.
     """
     with open(path, "rb") as fh:
         lines = _numbered_lines(fh)
@@ -383,8 +386,8 @@ def read_records(path, kind: str, fn=None, chunk: int = MAP_CHUNK, fork: bool | 
             for numbered in lines:
                 yield decode_line(numbered, kind)
         else:
-            yield from ordered_map(lines, lambda numbered: fn(decode_line(numbered, kind)),
-                                   chunk, fork)
+            yield from ordered_map(
+                lines, lambda numbered: fn(decode_line(numbered, kind), numbered[1]), chunk, fork)
 
 
 def encode_record(rec) -> str:
@@ -393,8 +396,9 @@ def encode_record(rec) -> str:
 
 
 def write_records(path, records) -> int:
-    """Write records (anything with .to_obj(), or a line from encode_record)
-    as JSONL; returns the count."""
+    """Write records (anything with .to_obj(), or a JSONL line without its
+    newline, such as encode_record's or one read_records passed to fn) as
+    JSONL; returns the count."""
     n = 0
     with atomic_write(path) as fh:
         for rec in records:

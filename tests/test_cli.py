@@ -1,6 +1,7 @@
 """End-to-end pipeline runs through the command line entry point."""
 
 import base64
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -13,12 +14,14 @@ import numpy as np
 import pytest
 
 import unifilter
+from unifilter import filtering
 from unifilter.classifier import ModelConfig, QualityModel, init_params, save_model
 from unifilter.cli import main
 from unifilter.common import DataError, child_rng, read_json_file
 from unifilter.packing import Vocab
 from unifilter.records import (CaptionSample, DocItem, ImagePayload, InterleavedDoc, LabeledSample,
-                               ScoredRecord, write_records)
+                               ScoredRecord, decode_line, encode_record, read_records,
+                               write_records)
 
 TINY_CFG = {
     "encoder": {"patch_size": 4, "d_v": 8, "t": 4, "d": 16, "seed": 0},
@@ -959,10 +962,12 @@ def _corpus_and_scores(tmp_path, data):
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
 def test_mapped_stages_write_the_same_bytes_on_one_cpu_and_two(tmp_path):
-    """filter, dfn-filter and cluster map each record on both CPUs when
-    there are two, and on this process alone when pinned to one."""
+    """filter, dfn-filter, cluster, pack and stats map each record on both
+    CPUs when there are two, and on this process alone when pinned to one."""
     data = _gen(tmp_path, seed=5, levels_count=3)
     corpus, _ = _corpus_and_scores(tmp_path, data)
+    vocab = tmp_path / "vocab.json"
+    Vocab(words=["the", "a", "fox", "."]).save(vocab)
     before = os.sched_getaffinity(0)
     outputs = {}
     for name, allowed in (("one", {min(before)}), ("all", before)):
@@ -973,7 +978,10 @@ def test_mapped_stages_write_the_same_bytes_on_one_cpu_and_two(tmp_path):
             for argv in (["filter", "--scores", str(tmp_path / "scores.jsonl"),
                           "--fraction", "0.4", "--out", str(out / "kept.jsonl")],
                          ["dfn-filter", "--out", str(out / "dfn.jsonl")],
-                         ["cluster", "--k", "3", "--out", str(out / "clusters.json")]):
+                         ["cluster", "--k", "3", "--out", str(out / "clusters.json")],
+                         ["pack", "--vocab", str(vocab), "--context-len", "64", "--t", "2",
+                          "--out", str(out / "packed.jsonl")],
+                         ["stats", "--out", str(out / "stats.json")]):
                 flag = "--embeddings-from" if argv[0] == "cluster" else "--in"
                 assert main([*argv, flag, str(corpus)]) == 0, argv
         finally:
@@ -981,7 +989,7 @@ def test_mapped_stages_write_the_same_bytes_on_one_cpu_and_two(tmp_path):
         outputs[name] = {path.name: path.read_bytes() for path in out.iterdir()
                          if not path.name.endswith("manifest.json")}
     assert sorted(outputs["one"]) == ["clusters.json", "dfn.jsonl", "dfn.rejects.jsonl",
-                                      "kept.jsonl"]
+                                      "kept.jsonl", "packed.jsonl", "stats.json"]
     assert outputs["one"] == outputs["all"]
     assert multiprocessing.active_children() == []
 
@@ -1037,3 +1045,78 @@ def test_cluster_worker_death_exits_3_with_one_json_error(tmp_path, capfd, small
     assert rc == 3
     _assert_one_dead_worker_error(capfd)
     assert list(tmp_path.iterdir()) == []
+
+
+# Lines no writer of this program makes: spaces around colons, keys out of
+# order, floats written 1.0e0 and 5E-1, an escaped e-acute and CRLF endings.
+_PIXELS = ", ".join(["1.0e0", "0.25", "5E-1", "0.75"] * 4)
+HAND_WRITTEN = (
+    r'{"text" : "caf\u00e9 by the kettle",  "image": {"pixels": {"data": [' + _PIXELS
+    + r'], "shape": [1, 4, 4]}}, "id": "hand-cap"}' + "\r\n"
+    + r'{ "items": [{"text": "a fox rests", "kind": "text"}, {"image": {"pixels": '
+    + r'{"shape": [1,4,4], "data": [' + _PIXELS + r']}}, "kind": "image"}], "id": "hand-doc" }'
+    + "\r\n")
+
+
+def test_kept_lines_pass_through_filter_and_dfn_filter_byte_for_byte(tmp_path):
+    """A kept record is written as the line it was read from, not re-encoded."""
+    corpus = tmp_path / "hand.jsonl"
+    corpus.write_bytes(HAND_WRITTEN.encode("utf-8"))
+    write_records(tmp_path / "scores.jsonl", [ScoredRecord(id=rid, score=0.5, modality="caption")
+                                              for rid in ("hand-cap", "hand-doc")])
+    assert main(["filter", "--scores", str(tmp_path / "scores.jsonl"), "--in", str(corpus),
+                 "--fraction", "1", "--out", str(tmp_path / "kept.jsonl")]) == 0
+    # at threshold -1 every image survives
+    assert main(["dfn-filter", "--in", str(corpus), "--threshold", "-1",
+                 "--out", str(tmp_path / "dfn.jsonl")]) == 0
+    assert (tmp_path / "kept.jsonl").read_bytes() == corpus.read_bytes()
+    assert (tmp_path / "dfn.jsonl").read_bytes() == corpus.read_bytes()
+
+
+def test_dfn_filter_writes_a_labeled_line_as_its_document(tmp_path):
+    """A labeled record is not itself a document, so its line does not pass
+    through: the document inside it is encoded, every image surviving."""
+    data = _gen(tmp_path, seed=5, levels_count=2)
+    out = tmp_path / "dfn.jsonl"
+    assert main(["dfn-filter", "--in", str(data / "train.jsonl"), "--threshold", "-1",
+                 "--out", str(out)]) == 0
+    want = "".join(encode_record(sample.record) + "\n"
+                   for sample in read_records(data / "train.jsonl", "labeled"))
+    assert out.read_text(encoding="utf-8") == want
+
+
+def test_dfn_filter_encodes_a_document_that_loses_an_image(tmp_path):
+    """An image whose finite pixels overflow has no embedding and is dropped;
+    the rest of the hand-written document is written in the program's form."""
+    huge = ", ".join(["1e308"] * 3 * 8 * 8)
+    line = (r'{"id": "d", "items": [{"kind": "text", "text": "café fox"}, '
+            r'{"kind": "image", "image": {"pixels": {"shape": [3, 8, 8], "data": [' + huge
+            + r']}}}, {"kind": "image", "image": {"pixels": {"shape": [1, 4, 4], "data": ['
+            + _PIXELS + ']}}}]}\r\n')
+    corpus = tmp_path / "doc.jsonl"
+    corpus.write_bytes(line.encode("utf-8"))
+    doc = decode_line((1, line), "interleaved")
+    assert filtering.dfn_image_embedding(doc.items[1].image) is None
+    out = tmp_path / "dfn.jsonl"
+    assert main(["dfn-filter", "--in", str(corpus), "--threshold", "-0.999999",
+                 "--out", str(out)]) == 0
+    kept = InterleavedDoc(id="d", items=[doc.items[0], doc.items[2]])
+    assert out.read_text(encoding="utf-8") == encode_record(kept) + "\n"
+    assert (tmp_path / "dfn.rejects.jsonl").read_bytes() == b""
+
+
+def test_a_non_finite_value_to_write_exits_4_without_output(tmp_path, capfd, monkeypatch):
+    """The JSON writers refuse NaN: stats whose average is NaN is a numeric
+    error, with one JSON error on stderr and no stats file."""
+    data = _gen(tmp_path, seed=5, levels_count=2)
+    real = filtering.corpus_stats
+    monkeypatch.setattr(filtering, "corpus_stats", lambda *args, **kwargs: dataclasses.replace(
+        real(*args, **kwargs), avg_doc_len=float("nan")))
+    out = tmp_path / "stats.json"
+    capfd.readouterr()
+    assert main(["stats", "--in", str(data / "train.jsonl"), "--out", str(out)]) == 4
+    err = capfd.readouterr().err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    obj = json.loads(err)
+    assert obj["error"] == "numeric" and obj["message"].startswith(f"{out}: ")
+    assert not out.exists() and not list(tmp_path.glob(".stats.json*"))

@@ -9,9 +9,12 @@ every non-pad id in order and never splits an image run.  A checkpoint
 gives back its tensors bit for bit, and saving what it loads rewrites it
 byte for byte.  balanced_groups places every position once, in near-equal
 loads, and select_top_fraction keeps the ceiling share that a sort picks.
+The DFN text embedding, which hashes each distinct token once, is bitwise
+the embedding that hashes every token.
 """
 
 import dataclasses
+import hashlib
 import struct
 import tempfile
 from pathlib import Path
@@ -21,12 +24,12 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from unifilter.classifier import ModelConfig, QualityModel, assemble, forward_score, init_params
-from unifilter.common import child_rng
+from unifilter.common import child_rng, unit_vector
 from unifilter.encoder import EncoderConfig
-from unifilter.filtering import select_top_fraction
+from unifilter.filtering import DFN_DIM, hashed_text_embedding, select_top_fraction
 from unifilter.nn import SAVE_FLOATS, load_tensors, save_tensors
 from unifilter.packing import (END_OF_CHUNK_ID, IMAGE_PLACEHOLDER_ID, PAD_ID, build_vocab,
-                               flatten_doc, pack)
+                               flatten_doc, pack, tokenize_words)
 from unifilter.records import (CaptionSample, DocItem, ImagePayload, InterleavedDoc,
                                ScoredRecord, as_document, read_records, write_records)
 from unifilter.runner import balanced_groups
@@ -187,3 +190,23 @@ def test_select_top_fraction_keeps_what_a_sort_keeps_in_corpus_order(pairs, rati
     keep = {rid for rid, _ in sorted(pairs, key=lambda pair: (-pair[1], pair[0]))[:m]}
     assert len(kept) == m
     assert [r.id for r in kept] == [rid for rid, _ in pairs if rid in keep]
+
+
+def _embedding_hashing_every_token(text: str):
+    vec = np.zeros(DFN_DIM)
+    for tok in tokenize_words(text.lower()):
+        h = hashlib.sha256(tok.encode("utf-8")).digest()
+        vec[int.from_bytes(h[:8], "big") % DFN_DIM] += 1.0 if h[8] % 2 == 0 else -1.0
+    return unit_vector(vec)
+
+
+@SETTINGS
+@given(st.lists(st.lists(st.sampled_from(WORDS) | unicode, max_size=40).map(" ".join),
+                min_size=1, max_size=4))
+def test_hashed_text_embedding_is_bitwise_the_per_token_sha256_formula(paragraphs):
+    """Repeated words, and paragraphs that share words, hit the token memo."""
+    for text in paragraphs:
+        got, want = hashed_text_embedding(text), _embedding_hashing_every_token(text)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got.tobytes() == want.tobytes()

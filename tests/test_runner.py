@@ -86,7 +86,7 @@ def test_the_earlier_bad_line_wins_whichever_process_reads_it(tmp_path, monkeypa
     parent = os.getpid()
     events = []
 
-    def fn(rec):
+    def fn(rec, line):
         events.append(rec.id)
         return rec.id
 
